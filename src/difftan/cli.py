@@ -18,10 +18,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from . import __version__
 from .functor_core import tangent
-from .orbit_space import LiftWitness, standard_embedding, theorem2_dim, validate_lift
+from .orbit_space import LiftWitness, theorem2_dim
 from .quad_field import (
     MobiusWitness,
     cf_expand,
@@ -45,6 +46,8 @@ EXIT_INPUT = 2
 EXIT_UNDETERMINED = 3
 
 _FUNCTOR_CHOICES = ("internal", "right", "vincent", "y-internal", "y-right")
+# Options whose value may start with '-' (a negative slope).
+_SURD_OPTIONS = ("--alpha", "--beta", "--slopes")
 
 
 def _witness_json(witness):
@@ -84,11 +87,17 @@ def _witness_text(witness) -> str:
     raise TypeError(f"unknown witness type {type(witness).__name__}")
 
 
+def _json_header(raw_input: dict, command: Optional[str] = None) -> dict:
+    header = {"tool": "difftan", "version": __version__}
+    if command:
+        header["command"] = command
+    header["input"] = raw_input
+    return header
+
+
 def _record_of(report, raw_input: dict) -> dict:
     return {
-        "tool": "difftan",
-        "version": __version__,
-        "input": raw_input,
+        **_json_header(raw_input),
         "space": report.space.label,
         "functor": report.functor.name,
         "test": report.functor.test.label if report.functor.test else None,
@@ -241,10 +250,9 @@ def _cmd_witness_mobius(args) -> int:
     if args.json:
         _emit_json(
             {
-                "tool": "difftan",
-                "version": __version__,
-                "command": "witness-mobius",
-                "input": {"alpha": args.alpha, "beta": args.beta},
+                **_json_header(
+                    {"alpha": args.alpha, "beta": args.beta}, "witness-mobius"
+                ),
                 "alpha": format_surd(alpha),
                 "beta": format_surd(beta),
                 "witness": _witness_json(witness),
@@ -266,10 +274,9 @@ def _cmd_witness_diffeo(args) -> int:
     if args.json:
         _emit_json(
             {
-                "tool": "difftan",
-                "version": __version__,
-                "command": "witness-diffeo",
-                "input": {"alpha": args.alpha, "beta": args.beta},
+                **_json_header(
+                    {"alpha": args.alpha, "beta": args.beta}, "witness-diffeo"
+                ),
                 "alpha": format_surd(alpha),
                 "beta": format_surd(beta),
                 "alpha_cf": str(alpha_cf),
@@ -289,22 +296,15 @@ def _cmd_witness_diffeo(args) -> int:
 def _cmd_witness_embed(args) -> int:
     if args.m < 1 or args.n < 1:
         raise ValueError("--m and --n must be >= 1")
-    if args.m <= args.n:
-        emb = standard_embedding(args.m, args.n)
-        germ = validate_lift(emb)
-        witness = LiftWitness(emb, germ.psi, germ.psi.coeff(1))
-        reason = None
-    else:
-        witness = None
+    witness = theorem2_dim(args.m, args.n).witness
+    reason = None
+    if witness is None:
         reason = (
             "the rank obstruction forces every pushforward to vanish when m > n"
         )
     if args.json:
         payload = {
-            "tool": "difftan",
-            "version": __version__,
-            "command": "witness-embed",
-            "input": {"m": args.m, "n": args.n},
+            **_json_header({"m": args.m, "n": args.n}, "witness-embed"),
             "witness": _witness_json(witness),
         }
         if reason:
@@ -384,10 +384,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join `--alpha -1+sqrt(2)` into `--alpha=-1+sqrt(2)`.
+
+    argparse reads a separate word starting with '-' as an option, so a
+    negative slope would be reported as a missing value.  Words that start
+    with '--', and -h, stay options: `--alpha --json` is still an error.
+    """
+    out: list[str] = []
+    for word in argv:
+        if (
+            out
+            and out[-1] in _SURD_OPTIONS
+            and word.startswith("-")
+            and not word.startswith("--")
+            and word != "-h"
+        ):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(argv))
     except SystemExit as exc:
         code = exc.code
         if code in (None, 0):

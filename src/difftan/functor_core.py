@@ -8,6 +8,13 @@ TangentReport carrying generators, witnesses where meaningful, a status
 -- computed here, registered from a proved classification, or
 undetermined -- and a one-line justification.
 
+Every answer comes from one row of the rule table below, keyed by
+(construction, space family, test family) with the families R^0, R^k
+(k >= 1), torus and orbit.  A row either states a fixed answer, gives
+the Euclidean one (dimension k, one generator per axis), or calls a
+decision procedure: torus.y_internal_dim for two tori,
+orbit_space.theorem2_dim for two orbit spaces.
+
 The undetermined corner is deliberate: maps from an irrational torus into
 an orbit space fall outside the registered classifications, so the
 y-internal cells of a torus tested against an orbit space report
@@ -22,10 +29,11 @@ from typing import Optional, Sequence
 
 from . import orbit_space as orbit
 from . import torus as torus_mod
-from .orbit_space import PolyLift, compose_lifts
+from .orbit_space import ORBIT_GENERATOR, PolyLift, compose_lifts
 from .polynomials import MultiPoly
 from .quad_field import QuadraticIrrational, parse_quadratic
 from .spaces import (
+    CLASSICAL_FUNCTORS,
     COMPUTED,
     REGISTERED,
     UNDETERMINED,
@@ -36,6 +44,7 @@ from .spaces import (
     Space,
     TangentReport,
 )
+from .torus import CONSTANT_GERMS, TORUS_GENERATOR
 
 DEFAULT_SLOPE_TEXTS = (
     "sqrt(2)",
@@ -55,26 +64,51 @@ class HypothesisNotMetError(ValueError):
     """The test space lacks the nonzero tangent vector the check needs."""
 
 
-def _euclidean_generators(k: int) -> tuple[str, ...]:
-    return tuple(f"∂/∂x{i + 1}" for i in range(k))
+# ---------------------------------------------------------------------------
+# The rule table
+# ---------------------------------------------------------------------------
+
+# Space families.  A classical construction takes no test, so its test
+# family is None.
+R0, RK, TORUS, ORBIT = "R^0", "R^k", "torus", "orbit"
+_EUCLIDEAN = (R0, RK)
+_ALL = (R0, RK, TORUS, ORBIT)
 
 
-def _internal_dim(space: Space) -> int:
-    """Classical internal tangent dimension (registered facts)."""
+def _family(space: Optional[Space]) -> Optional[str]:
+    if space is None:
+        return None
     if isinstance(space, EuclideanSpace):
-        return space.dim
-    if isinstance(space, IrrationalTorus):
-        return 1
-    return 0
+        return RK if space.dim else R0
+    return TORUS if isinstance(space, IrrationalTorus) else ORBIT
 
 
-def _right_dim(space: Space) -> int:
-    """Classical right tangent dimension (registered facts)."""
-    if isinstance(space, EuclideanSpace):
-        return space.dim
-    if isinstance(space, IrrationalTorus):
-        return 0
-    return 1
+def _fixed(dimension, generators, status, justification):
+    """An answer that is the same for every instance of its cell."""
+    return lambda space, functor: TangentReport(
+        space, functor, dimension, generators, None, status, justification
+    )
+
+
+def _euclidean(justification):
+    """The classical answer on R^k: dimension k, one generator per axis."""
+    def answer(space, functor):
+        generators = tuple(f"∂/∂x{i + 1}" for i in range(space.dim))
+        return TangentReport(
+            space, functor, space.dim, generators, None, REGISTERED, justification
+        )
+
+    return answer
+
+
+# The decision procedures are looked up on their modules at call time, so
+# rebinding the module attribute (to wrap or trace it) covers these calls.
+def _torus_pair(space: IrrationalTorus, functor: FunctorKind) -> TangentReport:
+    return torus_mod.y_internal_dim(space, functor.test)
+
+
+def _orbit_pair(space: OrbitSpace, functor: FunctorKind) -> TangentReport:
+    return orbit.theorem2_dim(functor.test.n, space.n)
 
 
 _EUCLIDEAN_CLASSICAL = (
@@ -85,6 +119,27 @@ _EUCLIDEAN_RELATIVE = (
     "the test space carries a nonzero tangent vector of the relevant kind, "
     "so the construction agrees with the classical tangent functor on "
     "Euclidean spaces"
+)
+_TORUS_INTERNAL_LINE = (
+    "the internal tangent space is spanned by the class of the projection "
+    "curve; dense translations rule out a second independent direction"
+)
+_TORUS_NO_FUNCTIONS = (
+    "smooth real-valued functions on an irrational torus are constant, so "
+    "function-based constructions see only the zero germ algebra"
+)
+_ORBIT_REFLECTION = (
+    "reflection through the origin descends to the identity, so every "
+    "pushed-forward plot vector is identified with its own negative"
+)
+_ORBIT_NONNEGATIVE = (
+    "a nonnegative smooth function vanishing at 0 has zero derivative "
+    "there, so curves pair trivially with every invariant germ"
+)
+_ORBIT_PROFILE = (
+    "invariant germs are profiles of the squared radius; D_n reads the "
+    "profile's derivative at 0 and is nonzero on the squared-radius germ "
+    "itself"
 )
 _POINT_TEST = (
     "the only germ into the one-point space is constant, so the refining "
@@ -117,90 +172,62 @@ _TORUS_ORBIT_GAP = (
     "registered classifications; no computation rule applies"
 )
 
+# (rule id, constructions, space families, test families, answer).  Every
+# (construction, space family, test family) key matches exactly one row;
+# the single undetermined row is y-internal-torus-orbit-gap.
+_RULE_ROWS = (
+    ("euclidean-classical", CLASSICAL_FUNCTORS, _EUCLIDEAN, (None,),
+     _euclidean(_EUCLIDEAN_CLASSICAL)),
+    ("torus-internal-line", ("internal",), (TORUS,), (None,),
+     _fixed(1, (TORUS_GENERATOR,), REGISTERED, _TORUS_INTERNAL_LINE)),
+    ("torus-no-functions", ("vincent", "right"), (TORUS,), (None,),
+     _fixed(0, (), REGISTERED, _TORUS_NO_FUNCTIONS)),
+    ("orbit-internal-reflection", ("internal",), (ORBIT,), (None,),
+     _fixed(0, (), REGISTERED, _ORBIT_REFLECTION)),
+    ("orbit-vincent-nonnegative", ("vincent",), (ORBIT,), (None,),
+     _fixed(0, (), REGISTERED, _ORBIT_NONNEGATIVE)),
+    ("orbit-right-profile", ("right",), (ORBIT,), (None,),
+     _fixed(1, (ORBIT_GENERATOR,), REGISTERED, _ORBIT_PROFILE)),
+    ("y-internal-orbit-space", ("y-internal",), (ORBIT,), _ALL,
+     _fixed(0, (), COMPUTED, _SPACE_INTERNAL_ZERO)),
+    ("y-internal-euclidean", ("y-internal",), _EUCLIDEAN, (RK, TORUS),
+     _euclidean(_EUCLIDEAN_RELATIVE)),
+    ("y-internal-point-test", ("y-internal",), _EUCLIDEAN, (R0,),
+     _fixed(0, (), COMPUTED, _POINT_TEST)),
+    ("y-internal-orbit-test", ("y-internal",), _EUCLIDEAN, (ORBIT,),
+     _fixed(0, (), COMPUTED, _TEST_INTERNAL_ZERO)),
+    ("y-internal-torus-pair", ("y-internal",), (TORUS,), (TORUS,),
+     _torus_pair),
+    ("y-internal-torus-euclidean", ("y-internal",), (TORUS,), _EUCLIDEAN,
+     _fixed(0, (), COMPUTED, CONSTANT_GERMS)),
+    ("y-internal-torus-orbit-gap", ("y-internal",), (TORUS,), (ORBIT,),
+     _fixed(None, (), UNDETERMINED, _TORUS_ORBIT_GAP)),
+    ("y-right-torus-space", ("y-right",), (TORUS,), _ALL,
+     _fixed(0, (), COMPUTED, _TORUS_RIGHT_ZERO)),
+    ("y-right-test-zero", ("y-right",), (R0, RK, ORBIT), (R0, TORUS),
+     _fixed(0, (), COMPUTED, _TEST_RIGHT_ZERO)),
+    ("y-right-euclidean", ("y-right",), _EUCLIDEAN, (RK, ORBIT),
+     _euclidean(_EUCLIDEAN_RELATIVE)),
+    ("y-right-orbit-pair", ("y-right",), (ORBIT,), (ORBIT,),
+     _orbit_pair),
+    ("y-right-axis-reduction", ("y-right",), (ORBIT,), (RK,),
+     _fixed(0, (), COMPUTED, _AXIS_REDUCTION)),
+)
 
-def _report(space, functor, dim, generators, status, justification, witness=None):
-    return TangentReport(
-        space=space,
-        functor=functor,
-        dimension=dim,
-        generators=generators,
-        witness=witness,
-        status=status,
-        justification=justification,
-    )
-
-
-def _classical(space: Space, functor: FunctorKind) -> TangentReport:
-    if isinstance(space, EuclideanSpace):
-        return _report(
-            space,
-            functor,
-            space.dim,
-            _euclidean_generators(space.dim),
-            REGISTERED,
-            _EUCLIDEAN_CLASSICAL,
-        )
-    if isinstance(space, IrrationalTorus):
-        return torus_mod.classical_dims(space)[functor.name]
-    return orbit.classical_dims(space)[functor.name]
-
-
-def _y_internal(space: Space, functor: FunctorKind) -> TangentReport:
-    test = functor.test
-    if isinstance(space, OrbitSpace):
-        return _report(space, functor, 0, (), COMPUTED, _SPACE_INTERNAL_ZERO)
-    if isinstance(space, EuclideanSpace):
-        if _internal_dim(test) >= 1:
-            return _report(
-                space,
-                functor,
-                space.dim,
-                _euclidean_generators(space.dim),
-                REGISTERED,
-                _EUCLIDEAN_RELATIVE,
-            )
-        if isinstance(test, EuclideanSpace):
-            return _report(space, functor, 0, (), COMPUTED, _POINT_TEST)
-        return _report(space, functor, 0, (), COMPUTED, _TEST_INTERNAL_ZERO)
-    # Irrational torus space.
-    if isinstance(test, IrrationalTorus):
-        return torus_mod.y_internal_dim(space, test)
-    if isinstance(test, EuclideanSpace):
-        return _report(
-            space, functor, 0, (), COMPUTED, torus_mod.CONSTANT_GERMS
-        )
-    return _report(space, functor, None, (), UNDETERMINED, _TORUS_ORBIT_GAP)
-
-
-def _y_right(space: Space, functor: FunctorKind) -> TangentReport:
-    test = functor.test
-    if isinstance(space, IrrationalTorus):
-        return _report(space, functor, 0, (), COMPUTED, _TORUS_RIGHT_ZERO)
-    if _right_dim(test) == 0:
-        return _report(space, functor, 0, (), COMPUTED, _TEST_RIGHT_ZERO)
-    if isinstance(space, EuclideanSpace):
-        return _report(
-            space,
-            functor,
-            space.dim,
-            _euclidean_generators(space.dim),
-            REGISTERED,
-            _EUCLIDEAN_RELATIVE,
-        )
-    # Orbit space with a test that has derivations: another orbit space or
-    # a Euclidean open of positive dimension.
-    if isinstance(test, OrbitSpace):
-        return orbit.theorem2_dim(test.n, space.n)
-    return _report(space, functor, 0, (), COMPUTED, _AXIS_REDUCTION)
+# (construction, space family, test family) -> (rule id, answer).
+_RULES = {
+    (construction, space, test): (rule_id, answer)
+    for rule_id, constructions, spaces, tests, answer in _RULE_ROWS
+    for construction in constructions
+    for space in spaces
+    for test in tests
+}
 
 
 def tangent(space: Space, functor: FunctorKind) -> TangentReport:
     """Dimension, generators, witness, and provenance for one tangent cell."""
-    if functor.name in ("internal", "vincent", "right"):
-        return _classical(space, functor)
-    if functor.name == "y-internal":
-        return _y_internal(space, functor)
-    return _y_right(space, functor)
+    _, answer = _RULES[functor.name, _family(space), _family(functor.test)]
+    return answer(space, functor)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +305,13 @@ def functor_axiom_check(functor: FunctorKind) -> AxiomCheckReport:
     has no tangent vector of the relevant kind, in which case the
     construction is degenerate rather than tangent-functorial.
     """
-    if functor.name == "y-internal" and _internal_dim(functor.test) == 0:
-        raise HypothesisNotMetError(
-            f"hypothesis not met: the internal tangent space of "
-            f"{functor.test.label} vanishes"
-        )
-    if functor.name == "y-right" and _right_dim(functor.test) == 0:
-        raise HypothesisNotMetError(
-            f"hypothesis not met: the right tangent space of "
-            f"{functor.test.label} vanishes"
-        )
+    if functor.test is not None:
+        kind = functor.name.removeprefix("y-")
+        if tangent(functor.test, FunctorKind(kind)).dimension == 0:
+            raise HypothesisNotMetError(
+                f"hypothesis not met: the {kind} tangent space of "
+                f"{functor.test.label} vanishes"
+            )
 
     dims_ok = all(
         tangent(EuclideanSpace(k), functor).dimension == k for k in range(4)

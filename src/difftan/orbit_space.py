@@ -3,9 +3,9 @@
 The n-th orbit space is R^n modulo the orthogonal group, based at the
 cone point.  Smooth invariant function germs there are exactly germs of
 the form Psi(|x|^2) for a smooth one-variable profile Psi; this module
-works with polynomial profiles.  The right tangent space is spanned by
-the derivation D_n that reads off Psi'(0) -- equivalently half the second
-x1-derivative of the invariant function at the origin.
+works with polynomial profiles.  The derivation D_n reads off Psi'(0) --
+equivalently half the second x1-derivative of the invariant function at
+the origin.
 
 Smooth maps between orbit spaces are represented by polynomial lifts
 F: R^m -> R^n with F(0) = 0 that are radius-preserving in the weak sense
@@ -251,51 +251,6 @@ def theorem2_dim(m: int, n: int) -> TangentReport:
         status=REGISTERED,
         justification=_RANK_JUSTIFICATION,
     )
-
-
-def classical_dims(space: OrbitSpace) -> dict[str, TangentReport]:
-    """Internal, vincent, and right tangent dimensions of one orbit space."""
-    return {
-        "internal": TangentReport(
-            space=space,
-            functor=FunctorKind.internal(),
-            dimension=0,
-            generators=(),
-            witness=None,
-            status=REGISTERED,
-            justification=(
-                "reflection through the origin descends to the identity, so "
-                "every pushed-forward plot vector is identified with its own "
-                "negative"
-            ),
-        ),
-        "vincent": TangentReport(
-            space=space,
-            functor=FunctorKind.vincent(),
-            dimension=0,
-            generators=(),
-            witness=None,
-            status=REGISTERED,
-            justification=(
-                "a nonnegative smooth function vanishing at 0 has zero "
-                "derivative there, so curves pair trivially with every "
-                "invariant germ"
-            ),
-        ),
-        "right": TangentReport(
-            space=space,
-            functor=FunctorKind.right(),
-            dimension=1,
-            generators=(ORBIT_GENERATOR,),
-            witness=None,
-            status=REGISTERED,
-            justification=(
-                "invariant germs are profiles of the squared radius; D_n "
-                "reads the profile's derivative at 0 and is nonzero on the "
-                "squared-radius germ itself"
-            ),
-        ),
-    }
 
 
 def compose_lifts(outer: PolyLift, inner: PolyLift) -> PolyLift:

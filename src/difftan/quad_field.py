@@ -17,9 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-# The coefficient field: arbitrary-precision reduced rationals.
-Rational = Fraction
-
 _TRIAL_BOUND = 1_000_000
 _CERTIFY_BOUND = 10**12
 
@@ -520,11 +517,6 @@ def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
     else:
         pre = quotients[:entry]
         per = quotients[entry:]
-    # Absorb any preperiod suffix matching the period's tail (the minimal
-    # state entry already prevents this; kept as an explicit canonical rule).
-    while len(pre) > 1 and pre[-1] == per[-1]:
-        pre.pop()
-        per = [per[-1]] + per[:-1]
     return ContinuedFraction(tuple(pre), tuple(per))
 
 

@@ -2,10 +2,7 @@
 
 The torus with slope alpha is the quotient of the real line by the dense
 subgroup Z + alpha*Z.  Its D-topology is indiscrete, so germs of smooth
-maps at the basepoint are global smooth maps.  Smooth real-valued
-functions are constant, which kills every function-based tangent
-construction; the internal tangent space is one-dimensional, spanned by
-the class of the projection curve.
+maps at the basepoint are global smooth maps.
 
 Nonconstant smooth maps between two such tori exist exactly when the
 slopes are related by an integer Moebius transformation (equivalently,
@@ -27,13 +24,7 @@ from .quad_field import (
     mobius_compose,
     mobius_witness,
 )
-from .spaces import (
-    COMPUTED,
-    REGISTERED,
-    FunctorKind,
-    IrrationalTorus,
-    TangentReport,
-)
+from .spaces import COMPUTED, FunctorKind, IrrationalTorus, TangentReport
 
 TORUS_GENERATOR = "[π_α, ∂/∂t]"
 
@@ -42,14 +33,6 @@ _SAME_FIELD = (
     "the slopes are related by an integer Moebius transformation, so the "
     "witnessed affine map pushes the generator forward with nonzero scale "
     "and the refining relation identifies nothing new"
-)
-_INTERNAL_LINE = (
-    "the internal tangent space is spanned by the class of the projection "
-    "curve; dense translations rule out a second independent direction"
-)
-_NO_FUNCTIONS = (
-    "smooth real-valued functions on an irrational torus are constant, so "
-    "function-based constructions see only the zero germ algebra"
 )
 
 
@@ -129,39 +112,6 @@ def y_internal_dim(space: IrrationalTorus, test: IrrationalTorus) -> TangentRepo
         status=COMPUTED,
         justification=CONSTANT_GERMS,
     )
-
-
-def classical_dims(space: IrrationalTorus) -> dict[str, TangentReport]:
-    """Internal, vincent, and right tangent dimensions of one torus."""
-    return {
-        "internal": TangentReport(
-            space=space,
-            functor=FunctorKind.internal(),
-            dimension=1,
-            generators=(TORUS_GENERATOR,),
-            witness=None,
-            status=REGISTERED,
-            justification=_INTERNAL_LINE,
-        ),
-        "vincent": TangentReport(
-            space=space,
-            functor=FunctorKind.vincent(),
-            dimension=0,
-            generators=(),
-            witness=None,
-            status=REGISTERED,
-            justification=_NO_FUNCTIONS,
-        ),
-        "right": TangentReport(
-            space=space,
-            functor=FunctorKind.right(),
-            dimension=0,
-            generators=(),
-            witness=None,
-            status=REGISTERED,
-            justification=_NO_FUNCTIONS,
-        ),
-    }
 
 
 def diffeomorphic(

@@ -449,6 +449,48 @@ def test_witness_embed_rejects_nonpositive(capsys):
     assert "--m and --n must be >= 1" in err
 
 
+# ------------------------------------------------- values starting with '-'
+
+
+@pytest.mark.parametrize(
+    "split, joined",
+    [
+        (
+            ["witness", "mobius", "--alpha", "-1+sqrt(2)", "--beta", "sqrt(2)"],
+            ["witness", "mobius", "--alpha=-1+sqrt(2)", "--beta", "sqrt(2)"],
+        ),
+        (
+            ["witness", "diffeo", "--alpha", "sqrt(2)", "--beta", "-sqrt(2)", "--json"],
+            ["witness", "diffeo", "--alpha", "sqrt(2)", "--beta=-sqrt(2)", "--json"],
+        ),
+        (
+            ["table", "torus", "--slopes", "-3+sqrt(2),sqrt(2)"],
+            ["table", "torus", "--slopes=-3+sqrt(2),sqrt(2)"],
+        ),
+    ],
+)
+def test_value_starting_with_dash_may_be_its_own_word(capsys, split, joined):
+    expected = run(capsys, joined)
+    assert expected[0] == EXIT_OK
+    assert run(capsys, split) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "mobius", "--alpha", "--json", "--beta", "sqrt(2)"],
+        ["witness", "diffeo", "--alpha", "sqrt(2)", "--beta"],
+        ["table", "torus", "--slopes", "--json"],
+        ["table", "torus", "--slopes", "-h"],
+    ],
+)
+def test_missing_value_is_still_an_input_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "expected one argument" in err
+
+
 # ------------------------------------------------------------ shell basics
 
 

@@ -20,6 +20,7 @@ from difftan import (
     parse_space,
     tangent,
 )
+from difftan.functor_core import _RULE_ROWS, _RULES
 
 R = EuclideanSpace
 T_SQRT2 = IrrationalTorus(parse_quadratic("sqrt(2)"))
@@ -173,6 +174,49 @@ def test_undetermined_is_the_only_gap():
                 assert report.determined == (not gap)
                 if report.determined:
                     assert len(report.generators) == report.dimension
+
+
+# -------------------------------------------------------------- rule table
+
+# One instance per space family.
+FAMILY_INSTANCES = {"R^0": R(0), "R^k": R(2), "torus": T_SQRT2, "orbit": OrbitSpace(2)}
+RULE_KEYS = [
+    (name, family, None)
+    for name in ("internal", "vincent", "right")
+    for family in FAMILY_INSTANCES
+] + [
+    (name, family, test)
+    for name in ("y-internal", "y-right")
+    for family in FAMILY_INSTANCES
+    for test in FAMILY_INSTANCES
+]
+
+
+def test_every_key_matches_exactly_one_rule_row():
+    for construction, space, test in RULE_KEYS:
+        matches = [
+            rule_id
+            for rule_id, constructions, spaces, tests, _ in _RULE_ROWS
+            if construction in constructions and space in spaces and test in tests
+        ]
+        assert len(matches) == 1, (construction, space, test, matches)
+    assert sorted(_RULES, key=str) == sorted(RULE_KEYS, key=str)
+    rule_ids = [row[0] for row in _RULE_ROWS]
+    assert len(set(rule_ids)) == len(rule_ids)
+
+
+def test_only_the_torus_orbit_row_is_undetermined():
+    undetermined = [
+        (construction, space, test)
+        for construction, space, test in RULE_KEYS
+        if tangent(
+            FAMILY_INSTANCES[space],
+            FunctorKind(construction, FAMILY_INSTANCES.get(test)),
+        ).status
+        == UNDETERMINED
+    ]
+    assert undetermined == [("y-internal", "torus", "orbit")]
+    assert _RULES[undetermined[0]][0] == "y-internal-torus-orbit-gap"
 
 
 # ----------------------------------------------------------- y-right cells

@@ -10,6 +10,7 @@ from difftan import (
     GERM_DEGREE_BOUND,
     ORBIT_GENERATOR,
     Derivation,
+    FunctorKind,
     InvalidLiftError,
     InvariantGerm,
     LiftWitness,
@@ -17,7 +18,6 @@ from difftan import (
     OrbitSpace,
     PolyLift,
     UniPoly,
-    classical_orbit_dims,
     compose_lifts,
     derivation_value,
     norm_square_poly,
@@ -25,6 +25,7 @@ from difftan import (
     random_valid_lift,
     rank_obstruction,
     standard_embedding,
+    tangent,
     theorem2_dim,
     validate_lift,
 )
@@ -188,7 +189,10 @@ def test_theorem2_table():
 
 
 def test_classical_dims():
-    dims = classical_orbit_dims(OrbitSpace(2))
+    dims = {
+        name: tangent(OrbitSpace(2), FunctorKind(name))
+        for name in ("internal", "vincent", "right")
+    }
     assert {name: r.dimension for name, r in dims.items()} == {
         "internal": 0,
         "vincent": 0,

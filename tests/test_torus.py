@@ -8,16 +8,17 @@ import pytest
 from difftan import (
     CONSTANT_GERMS,
     TORUS_GENERATOR,
+    FunctorKind,
     IrrationalTorus,
     MobiusWitness,
     TorusHomReport,
-    classical_torus_dims,
     compose_hom,
     diffeomorphic,
     hom_nonconstant,
     mobius_apply,
     parse_quadratic,
     same_field,
+    tangent,
     y_internal_dim,
 )
 from difftan.quad_field import _surd_expansion
@@ -168,8 +169,15 @@ def test_diffeomorphic_within_field_example():
     assert mobius_apply(w, SILVER.slope) == SQRT2.slope
 
 
+def _classical_dims(torus):
+    return {
+        name: tangent(torus, FunctorKind(name))
+        for name in ("internal", "vincent", "right")
+    }
+
+
 def test_classical_dims():
-    dims = classical_torus_dims(SQRT2)
+    dims = _classical_dims(SQRT2)
     assert {name: r.dimension for name, r in dims.items()} == {
         "internal": 1,
         "vincent": 0,
@@ -179,6 +187,6 @@ def test_classical_dims():
     assert dims["internal"].status == "registered-by-theorem"
     assert dims["vincent"].generators == ()
     # The dimensions do not depend on the slope.
-    assert {name: r.dimension for name, r in classical_torus_dims(GOLDEN).items()} == {
+    assert {name: r.dimension for name, r in _classical_dims(GOLDEN).items()} == {
         name: r.dimension for name, r in dims.items()
     }
