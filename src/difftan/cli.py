@@ -388,14 +388,18 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     """Join `--alpha -1+sqrt(2)` into `--alpha=-1+sqrt(2)`.
 
     argparse reads a separate word starting with '-' as an option, so a
-    negative slope would be reported as a missing value.  Words that start
-    with '--', and -h, stay options: `--alpha --json` is still an error.
+    negative slope would be reported as a missing value.  The option may be
+    any abbreviation argparse accepts (`--alph`); the three names differ in
+    their first letter, so every prefix longer than '--' is unambiguous.
+    Words that start with '--', and -h, stay options: `--alpha --json` is
+    still an error.
     """
     out: list[str] = []
     for word in argv:
         if (
             out
-            and out[-1] in _SURD_OPTIONS
+            and len(out[-1]) > 2
+            and any(name.startswith(out[-1]) for name in _SURD_OPTIONS)
             and word.startswith("-")
             and not word.startswith("--")
             and word != "-h"

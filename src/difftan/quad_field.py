@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 _TRIAL_BOUND = 1_000_000
 _CERTIFY_BOUND = 10**12
+_CF_STATE_BOUND = 10**5
 
 
 class SurdParseError(ValueError):
@@ -407,10 +408,14 @@ def parse_quadratic(expr: str) -> Union[QuadraticIrrational, Fraction]:
 
     Returns a QuadraticIrrational, or a plain Fraction when the value is
     rational (e.g. "sqrt(9)").  Raises SurdParseError with a character
-    position for any malformed input.
+    position for any malformed input, nesting too deep for the recursive
+    descent included.
     """
     parser = _Parser(_tokenize(expr))
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except RecursionError:
+        raise SurdParseError("parentheses nested too deeply", parser.peek()[2]) from None
     tok = parser.peek()
     if tok[0] != "end":
         raise SurdParseError(f"unexpected {tok[1]!r}", tok[2])
@@ -447,16 +452,14 @@ class ContinuedFraction:
             raise ValueError("partial quotients after the first must be >= 1")
         if len(self.preperiod) > 1 and self.preperiod[-1] == self.period[-1]:
             raise ValueError("preperiod suffix absorbable into the period")
-        k = len(self.period)
-        doubled = self.period + self.period
-        if any(doubled[i : i + k] == self.period for i in range(1, k)):
+        # A matching rotation by i implies one by gcd(i, k), a proper divisor.
+        k, per = len(self.period), self.period
+        if any(per[i:] + per[:i] == per for i in range(1, k) if k % i == 0):
             raise ValueError("period must be primitive")
 
     def value(self) -> QuadraticIrrational:
         """Exact value: fixed point of the period, folded under the preperiod."""
-        m00, m01, m10, m11 = 1, 0, 0, 1
-        for a in self.period:
-            m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
+        (m00, m01), (m10, m11) = _quotient_matrix(self.period)
         # Purely periodic tail t solves t = (m00 t + m01) / (m10 t + m11).
         disc = (m00 - m11) ** 2 + 4 * m01 * m10
         tail = QuadraticIrrational.make(
@@ -476,35 +479,34 @@ class ContinuedFraction:
 def _surd_expansion(x: QuadraticIrrational):
     """Run the (P, Q) surd recurrence until the state repeats.
 
-    Returns (quotients, tails, entry): the partial quotients emitted before
-    the first repeated state, the complete quotient (an exact value) before
-    each emission, and the index at which the cycle re-enters.  Distinct
-    tails correspond to distinct states, so the entry point is minimal.
+    The complete quotient before each emission is (P + r*sqrt(d)) / Q with
+    r fixed for the run, so its exact components (P/Q, r/Q) key it without
+    building a field element.  Returns (quotients, tails, entry): the partial
+    quotients emitted before the first repeated state, a dict mapping each
+    complete quotient to its index, and the index at which the cycle
+    re-enters.  Distinct tails correspond to distinct states, so the entry
+    point is minimal.  More than _CF_STATE_BOUND states raise ValueError.
     """
     b = lcm(x.p.denominator, x.q.denominator)
-    a_int, c_int = int(x.p * b), int(x.q * b)
-    if c_int > 0:
-        big_p, big_d, big_q = a_int, c_int * c_int * x.d, b
-    else:
-        big_p, big_d, big_q = -a_int, c_int * c_int * x.d, -b
-    if (big_d - big_p * big_p) % big_q != 0:
+    sign = 1 if x.q > 0 else -1
+    big_p, r, big_q = sign * int(x.p * b), abs(int(x.q * b)), sign * b
+    if (r * r * x.d - big_p * big_p) % big_q != 0:
         m = abs(big_q)
-        big_p, big_d, big_q = big_p * m, big_d * m * m, big_q * m
+        big_p, r, big_q = big_p * m, r * m, big_q * m
+    big_d = r * r * x.d
     quotients: list[int] = []
-    tails: list[QuadraticIrrational] = []
-    seen: dict[tuple[int, int], int] = {}
-    while (big_p, big_q) not in seen:
-        seen[(big_p, big_q)] = len(quotients)
-        tails.append(
-            QuadraticIrrational.make(
-                Fraction(big_p, big_q), Fraction(1, big_q), big_d
+    tails: dict[tuple[Fraction, Fraction], int] = {}
+    while (tail := (Fraction(big_p, big_q), Fraction(r, big_q))) not in tails:
+        if len(tails) == _CF_STATE_BOUND:
+            raise ValueError(
+                f"continued fraction exceeds the state bound ({_CF_STATE_BOUND} states)"
             )
-        )
+        tails[tail] = len(quotients)
         a = _floor_surd_quotient(big_p, 1, big_q, big_d)
         quotients.append(a)
         big_p = a * big_q - big_p
         big_q = (big_d - big_p * big_p) // big_q
-    return quotients, tails, seen[(big_p, big_q)]
+    return quotients, tails, tails[tail]
 
 
 def cf_expand(x: QuadraticIrrational) -> ContinuedFraction:
@@ -608,18 +610,20 @@ def gl2z_equivalent(
 
     Two quadratic irrationals are GL(2,Z)-equivalent exactly when their
     continued-fraction expansions share a complete quotient (a common
-    tail).  The expansions' tail lists are finite and exhaustive, so the
-    search is a complete decision procedure; the first match in
-    lexicographic (i, j) order keeps the witness deterministic.
+    tail).  The expansions' tail sets are finite and exhaustive, so the
+    search is a complete decision procedure.  x's tails are walked in order
+    and each is looked up in y's; tails within one expansion are distinct,
+    so the first hit is the first match in lexicographic (i, j) order,
+    which keeps the witness deterministic.
     """
     if not same_field(x, y):
         return None
     qx, tx, _ = _surd_expansion(x)
     qy, ty, _ = _surd_expansion(y)
-    for i, ti in enumerate(tx):
-        for j, tj in enumerate(ty):
-            if ti == tj:
-                return _assemble_witness(qx[:i], qy[:j], y, x)
+    for tail, i in tx.items():
+        j = ty.get(tail)
+        if j is not None:
+            return _assemble_witness(qx[:i], qy[:j], y, x)
     return None
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main()."""
 
 import json
+import time
 
 import jsonschema
 import pytest
@@ -467,6 +468,14 @@ def test_witness_embed_rejects_nonpositive(capsys):
             ["table", "torus", "--slopes", "-3+sqrt(2),sqrt(2)"],
             ["table", "torus", "--slopes=-3+sqrt(2),sqrt(2)"],
         ),
+        (
+            ["witness", "mobius", "--alph", "-1+sqrt(2)", "--beta", "sqrt(2)"],
+            ["witness", "mobius", "--alpha=-1+sqrt(2)", "--beta", "sqrt(2)"],
+        ),
+        (
+            ["table", "torus", "--sl", "-3+sqrt(2),sqrt(2)"],
+            ["table", "torus", "--slopes=-3+sqrt(2),sqrt(2)"],
+        ),
     ],
 )
 def test_value_starting_with_dash_may_be_its_own_word(capsys, split, joined):
@@ -479,6 +488,7 @@ def test_value_starting_with_dash_may_be_its_own_word(capsys, split, joined):
     "argv",
     [
         ["witness", "mobius", "--alpha", "--json", "--beta", "sqrt(2)"],
+        ["witness", "mobius", "--alph", "--json", "--beta", "sqrt(2)"],
         ["witness", "diffeo", "--alpha", "sqrt(2)", "--beta"],
         ["table", "torus", "--slopes", "--json"],
         ["table", "torus", "--slopes", "-h"],
@@ -489,6 +499,46 @@ def test_missing_value_is_still_an_input_error(capsys, argv):
     assert code == EXIT_INPUT
     assert out == ""
     assert "expected one argument" in err
+
+
+# ------------------------------------------------------ continued fractions
+
+
+def test_witness_diffeo_past_the_factoring_bound(capsys):
+    code, out, _ = run(
+        capsys,
+        [
+            "witness",
+            "diffeo",
+            "--alpha",
+            "1000033*sqrt(1000066001090)",
+            "--beta",
+            "1+1000033*sqrt(1000066001090)",
+        ],
+    )
+    assert code == EXIT_OK
+    assert "witness: (a,b,c,d) = (-1,1,1,0), det = -1" in out
+
+
+def test_witness_diffeo_state_bound_is_an_input_error(capsys):
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        ["witness", "diffeo", "--alpha", "1000003*sqrt(1000037)", "--beta", "sqrt(2)"],
+    )
+    assert time.perf_counter() - started < 20
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and "state bound" in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_slope_is_an_input_error(capsys):
+    space = "torus:" + "(" * 3000 + "sqrt(2)" + ")" * 3000
+    code, out, err = run(capsys, ["tangent", "--space", space, "--functor", "internal"])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and "nested too deeply" in err
 
 
 # ------------------------------------------------------------ shell basics

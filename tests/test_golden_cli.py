@@ -61,6 +61,17 @@ def _cases() -> list[list[str]]:
         ["witness", "mobius", "--alpha", "sqrt(2)", "--beta", "sqrt(3)"],
         ["witness", "diffeo", "--alpha", "sqrt(2)", "--beta", "1+sqrt(2)"],
         ["witness", "diffeo", "--alpha", "(1+sqrt(5))/2", "--beta", "sqrt(5)"],
+        ["witness", "diffeo", "--alpha", "-sqrt(94)", "--beta", "(5-sqrt(94))/3"],
+        ["witness", "diffeo", "--alpha", "sqrt(1019)", "--beta", "2*sqrt(1019)"],
+        # Period 1798, with a non-empty head before the shared tail on both sides.
+        [
+            "witness",
+            "diffeo",
+            "--alpha",
+            "sqrt(999979)",
+            "--beta",
+            "(-3+sqrt(999979))/999970",
+        ],
         ["witness", "embed", "--m", "2", "--n", "3"],
         ["witness", "embed", "--m", "2", "--n", "2"],
         ["witness", "embed", "--m", "3", "--n", "1"],

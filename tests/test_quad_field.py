@@ -7,6 +7,7 @@ that never touches the production Moebius code.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,12 @@ def test_division_by_zero_rejected():
         parse_quadratic("(1+sqrt(2))/0")
 
 
+def test_deep_nesting_is_a_parse_error():
+    assert parse_quadratic("(" * 50 + "sqrt(2)" + ")" * 50) == parse_quadratic("sqrt(2)")
+    with pytest.raises(SurdParseError, match="nested too deeply"):
+        parse_quadratic("(" * 3000 + "sqrt(2)" + ")" * 3000)
+
+
 _fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 _radicands = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 15])
 _quads = st.builds(
@@ -226,6 +233,8 @@ def test_ordering_is_consistent_with_floats():
         ("sqrt(7)", (2,), (1, 1, 1, 4)),
         ("3*sqrt(2)", (4,), (4, 8)),
         ("-sqrt(2)", (-2, 1, 1), (2,)),
+        # c^2 * d is far past the factoring bound; d alone is not.
+        ("1000033*sqrt(1000066001090)", (1000066001089,), (2, 2000132002178)),
     ],
 )
 def test_cf_golden(text, preperiod, period):
@@ -275,6 +284,14 @@ def test_cf_type_invariants():
         ContinuedFraction((1, 0), (2,))
     with pytest.raises(ValueError):
         ContinuedFraction((), (2,))
+
+
+def test_primitive_period_check_is_fast():
+    started = time.perf_counter()
+    ContinuedFraction((0,), (1,) * 19999 + (2,))
+    assert time.perf_counter() - started < 0.5
+    with pytest.raises(ValueError, match="primitive"):
+        ContinuedFraction((0,), (1, 2) * 20000)
 
 
 # ---------------------------------------------------------------------------
