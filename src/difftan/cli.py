@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .functor_core import tangent
+from .functor_core import catalog_spaces, tangent
 from .orbit_space import LiftWitness, theorem2_dim
 from .quad_field import (
     MobiusWitness,
@@ -32,10 +32,9 @@ from .quad_field import (
 )
 from .spaces import (
     CLASSICAL_FUNCTORS,
-    EuclideanSpace,
+    MAX_ORBIT_DIM,
     FunctorKind,
     IrrationalTorus,
-    OrbitSpace,
     parse_space,
 )
 from .torus import diffeomorphic
@@ -45,9 +44,9 @@ EXIT_NO_WITNESS = 1
 EXIT_INPUT = 2
 EXIT_UNDETERMINED = 3
 
-_FUNCTOR_CHOICES = ("internal", "right", "vincent", "y-internal", "y-right")
-# Options whose value may start with '-' (a negative slope).
-_SURD_OPTIONS = ("--alpha", "--beta", "--slopes")
+# Largest `table orbit --max`: the table runs theorem2_dim on max^2 cells,
+# which takes seconds from about 30 on.
+MAX_ORBIT_TABLE = 32
 
 
 def _witness_json(witness):
@@ -113,6 +112,11 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, ensure_ascii=False))
 
 
+def _emit_table_json(grid, raw_input: dict) -> int:
+    _emit_json([_record_of(rep, raw_input) for row in grid for rep in row])
+    return EXIT_OK
+
+
 def _print_report(report) -> None:
     print(f"space: {report.space.label}")
     print(f"functor: {report.functor.name}")
@@ -150,32 +154,19 @@ def _cmd_tangent(args) -> int:
     return EXIT_OK if report.determined else EXIT_UNDETERMINED
 
 
-def _classical_table_rows():
-    spaces = [EuclideanSpace(k) for k in range(4)]
-    spaces.append(IrrationalTorus(parse_quadratic("sqrt(2)")))
-    spaces.extend(OrbitSpace(n) for n in range(1, 5))
-    return [
-        (space, [tangent(space, FunctorKind(name)) for name in CLASSICAL_FUNCTORS])
-        for space in spaces
-    ]
-
-
 def _cmd_table_classical(args) -> int:
-    rows = _classical_table_rows()
+    grid = [
+        [tangent(space, FunctorKind(name)) for name in CLASSICAL_FUNCTORS]
+        for space in catalog_spaces((parse_quadratic("sqrt(2)"),))
+    ]
     if args.json:
-        records = [
-            _record_of(rep, {"table": "classical"})
-            for _, reports in rows
-            for rep in reports
-        ]
-        _emit_json(records)
-        return EXIT_OK
+        return _emit_table_json(grid, {"table": "classical"})
     print("classical tangent dimensions (torus row is slope-independent)")
     header = f"{'space':<16}" + "".join(f"{name:>10}" for name in CLASSICAL_FUNCTORS)
     print(header)
-    for space, reports in rows:
-        cells = "".join(f"{rep.dimension:>10}" for rep in reports)
-        print(f"{space.label:<16}{cells}")
+    for row in grid:
+        cells = "".join(f"{rep.dimension:>10}" for rep in row)
+        print(f"{row[0].space.label:<16}{cells}")
     return EXIT_OK
 
 
@@ -195,13 +186,7 @@ def _cmd_table_torus(args) -> int:
         for test in tori
     ]
     if args.json:
-        records = [
-            _record_of(rep, {"table": "torus", "slopes": texts})
-            for row in grid
-            for rep in row
-        ]
-        _emit_json(records)
-        return EXIT_OK
+        return _emit_table_json(grid, {"table": "torus", "slopes": texts})
     print("y-internal dimensions; rows = test slope, cols = space slope")
     for idx, text in enumerate(texts, start=1):
         print(f"  [{idx}] {format_surd(slopes[idx - 1])}")
@@ -215,18 +200,12 @@ def _cmd_table_torus(args) -> int:
 
 
 def _cmd_table_orbit(args) -> int:
-    if args.max < 1:
-        raise ValueError("--max must be >= 1")
+    if not 1 <= args.max <= MAX_ORBIT_TABLE:
+        raise ValueError(f"--max must be >= 1 and <= {MAX_ORBIT_TABLE}")
     size = args.max
     grid = [[theorem2_dim(m, n) for n in range(1, size + 1)] for m in range(1, size + 1)]
     if args.json:
-        records = [
-            _record_of(rep, {"table": "orbit", "max": size})
-            for row in grid
-            for rep in row
-        ]
-        _emit_json(records)
-        return EXIT_OK
+        return _emit_table_json(grid, {"table": "orbit", "max": size})
     print("y-right dimensions; rows = test orbit:m, cols = space orbit:n")
     width = max(3, len(str(size)) + 1)
     print("m\\n".ljust(6) + "".join(str(n).rjust(width) for n in range(1, size + 1)))
@@ -243,59 +222,36 @@ def _parse_slope(label: str, text: str):
     return value
 
 
-def _cmd_witness_mobius(args) -> int:
+def _cmd_witness_slopes(args) -> int:
+    """witness mobius and witness diffeo; diffeo adds the two expansions."""
     alpha = _parse_slope("alpha", args.alpha)
     beta = _parse_slope("beta", args.beta)
-    witness = mobius_witness(alpha, beta)
+    fields = {"alpha": format_surd(alpha), "beta": format_surd(beta)}
+    if args.witness_kind == "diffeo":
+        fields["alpha_cf"] = str(cf_expand(alpha))
+        fields["beta_cf"] = str(cf_expand(beta))
+        witness = diffeomorphic(IrrationalTorus(alpha), IrrationalTorus(beta))
+    else:
+        witness = mobius_witness(alpha, beta)
     if args.json:
+        raw_input = {"alpha": args.alpha, "beta": args.beta}
         _emit_json(
             {
-                **_json_header(
-                    {"alpha": args.alpha, "beta": args.beta}, "witness-mobius"
-                ),
-                "alpha": format_surd(alpha),
-                "beta": format_surd(beta),
+                **_json_header(raw_input, f"witness-{args.witness_kind}"),
+                **fields,
                 "witness": _witness_json(witness),
             }
         )
     else:
-        print(f"alpha: {format_surd(alpha)}")
-        print(f"beta: {format_surd(beta)}")
-        print(f"witness: {witness if witness else 'none'}")
-    return EXIT_OK if witness else EXIT_NO_WITNESS
-
-
-def _cmd_witness_diffeo(args) -> int:
-    alpha = _parse_slope("alpha", args.alpha)
-    beta = _parse_slope("beta", args.beta)
-    alpha_cf = cf_expand(alpha)
-    beta_cf = cf_expand(beta)
-    witness = diffeomorphic(IrrationalTorus(alpha), IrrationalTorus(beta))
-    if args.json:
-        _emit_json(
-            {
-                **_json_header(
-                    {"alpha": args.alpha, "beta": args.beta}, "witness-diffeo"
-                ),
-                "alpha": format_surd(alpha),
-                "beta": format_surd(beta),
-                "alpha_cf": str(alpha_cf),
-                "beta_cf": str(beta_cf),
-                "witness": _witness_json(witness),
-            }
-        )
-    else:
-        print(f"alpha: {format_surd(alpha)}")
-        print(f"beta: {format_surd(beta)}")
-        print(f"alpha cf: {alpha_cf}")
-        print(f"beta cf: {beta_cf}")
+        for key, value in fields.items():
+            print(f"{key.replace('_', ' ')}: {value}")
         print(f"witness: {witness if witness else 'none'}")
     return EXIT_OK if witness else EXIT_NO_WITNESS
 
 
 def _cmd_witness_embed(args) -> int:
-    if args.m < 1 or args.n < 1:
-        raise ValueError("--m and --n must be >= 1")
+    if not all(1 <= size <= MAX_ORBIT_DIM for size in (args.m, args.n)):
+        raise ValueError(f"--m and --n must be >= 1 and <= {MAX_ORBIT_DIM}")
     witness = theorem2_dim(args.m, args.n).witness
     reason = None
     if witness is None:
@@ -321,6 +277,35 @@ def _cmd_witness_embed(args) -> int:
     return EXIT_OK if witness else EXIT_NO_WITNESS
 
 
+_FUNCTOR_CHOICES = ("internal", "right", "vincent", "y-internal", "y-right")
+_SLOPE = {"required": True, "surd": True}
+_SLOPES = (("--alpha", _SLOPE), ("--beta", _SLOPE))
+_SIZE = {"required": True, "type": int}
+
+# The command tree, one row per command or group: its words, help, options
+# and handler.  A row with a handler is a leaf and also takes --json; a row
+# without one groups the rows under it.  An option is a flag and its
+# add_argument keywords; "surd" marks a value that may start with '-' (a
+# negative slope, see _attach_dash_values).
+_COMMANDS = (
+    ("tangent", "dimension and witnesses for one space and construction", (
+        ("--space", {"required": True, "help": "R^k, torus:<expr>, orbit:<n>"}),
+        ("--functor", {"required": True, "choices": _FUNCTOR_CHOICES}),
+        ("--test", {"help": "test space for y-internal / y-right"}),
+    ), _cmd_tangent),
+    ("table", "dimension matrices", (), None),
+    ("table classical", "internal/vincent/right", (), _cmd_table_classical),
+    ("table torus", "torus-tested y-internal matrix",
+     (("--slopes", {**_SLOPE, "help": "comma-separated surds"}),), _cmd_table_torus),
+    ("table orbit", "orbit-tested y-right matrix", (("--max", _SIZE),), _cmd_table_orbit),
+    ("witness", "explicit witnesses", (), None),
+    ("witness mobius", "same-field Moebius witness", _SLOPES, _cmd_witness_slopes),
+    ("witness diffeo", "unimodular witness", _SLOPES, _cmd_witness_slopes),
+    ("witness embed", "orbit-space embedding witness",
+     (("--m", _SIZE), ("--n", _SIZE)), _cmd_witness_embed),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="difftan",
@@ -332,55 +317,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"difftan {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    tangent_p = sub.add_parser(
-        "tangent", help="dimension and witnesses for one space and construction"
-    )
-    tangent_p.add_argument("--space", required=True, help="R^k, torus:<expr>, orbit:<n>")
-    tangent_p.add_argument("--functor", required=True, choices=_FUNCTOR_CHOICES)
-    tangent_p.add_argument("--test", help="test space for y-internal / y-right")
-    tangent_p.add_argument("--json", action="store_true")
-    tangent_p.set_defaults(handler=_cmd_tangent)
-
-    table_p = sub.add_parser("table", help="dimension matrices")
-    table_sub = table_p.add_subparsers(dest="table_kind", required=True)
-
-    classical_p = table_sub.add_parser("classical", help="internal/vincent/right")
-    classical_p.add_argument("--json", action="store_true")
-    classical_p.set_defaults(handler=_cmd_table_classical)
-
-    torus_p = table_sub.add_parser("torus", help="torus-tested y-internal matrix")
-    torus_p.add_argument("--slopes", required=True, help="comma-separated surds")
-    torus_p.add_argument("--json", action="store_true")
-    torus_p.set_defaults(handler=_cmd_table_torus)
-
-    orbit_p = table_sub.add_parser("orbit", help="orbit-tested y-right matrix")
-    orbit_p.add_argument("--max", required=True, type=int)
-    orbit_p.add_argument("--json", action="store_true")
-    orbit_p.set_defaults(handler=_cmd_table_orbit)
-
-    witness_p = sub.add_parser("witness", help="explicit witnesses")
-    witness_sub = witness_p.add_subparsers(dest="witness_kind", required=True)
-
-    mobius_p = witness_sub.add_parser("mobius", help="same-field Moebius witness")
-    mobius_p.add_argument("--alpha", required=True)
-    mobius_p.add_argument("--beta", required=True)
-    mobius_p.add_argument("--json", action="store_true")
-    mobius_p.set_defaults(handler=_cmd_witness_mobius)
-
-    diffeo_p = witness_sub.add_parser("diffeo", help="unimodular witness")
-    diffeo_p.add_argument("--alpha", required=True)
-    diffeo_p.add_argument("--beta", required=True)
-    diffeo_p.add_argument("--json", action="store_true")
-    diffeo_p.set_defaults(handler=_cmd_witness_diffeo)
-
-    embed_p = witness_sub.add_parser("embed", help="orbit-space embedding witness")
-    embed_p.add_argument("--m", required=True, type=int)
-    embed_p.add_argument("--n", required=True, type=int)
-    embed_p.add_argument("--json", action="store_true")
-    embed_p.set_defaults(handler=_cmd_witness_embed)
-
+    parsers, subparsers = {"": parser}, {}
+    for name, help_text, options, handler in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if group not in subparsers:
+            dest = f"{group}_kind" if group else "command"
+            subparsers[group] = parsers[group].add_subparsers(dest=dest, required=True)
+        command = parsers[name] = subparsers[group].add_parser(leaf, help=help_text)
+        for flag, keywords in options:
+            command.add_argument(
+                flag, **{key: value for key, value in keywords.items() if key != "surd"}
+            )
+        if handler:
+            command.add_argument("--json", action="store_true")
+            command.set_defaults(handler=handler)
     return parser
 
 
@@ -389,17 +339,23 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 
     argparse reads a separate word starting with '-' as an option, so a
     negative slope would be reported as a missing value.  The option may be
-    any abbreviation argparse accepts (`--alph`); the three names differ in
+    any abbreviation argparse accepts (`--alph`); the surd options differ in
     their first letter, so every prefix longer than '--' is unambiguous.
     Words that start with '--', and -h, stay options: `--alpha --json` is
     still an error.
     """
+    surd_options = [
+        flag
+        for *_, options, _ in _COMMANDS
+        for flag, keywords in options
+        if keywords.get("surd")
+    ]
     out: list[str] = []
     for word in argv:
         if (
             out
             and len(out[-1]) > 2
-            and any(name.startswith(out[-1]) for name in _SURD_OPTIONS)
+            and any(name.startswith(out[-1]) for name in surd_options)
             and word.startswith("-")
             and not word.startswith("--")
             and word != "-h"

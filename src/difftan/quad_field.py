@@ -99,6 +99,19 @@ class QuadraticIrrational:
         if not isinstance(self.d, int) or self.d < 2 or squarefree_split(self.d) != (1, self.d):
             raise ValueError("radicand must be a square-free integer >= 2")
 
+    @classmethod
+    def _known(cls, p: Fraction, q: Fraction, d: int) -> "QuadraticIrrational":
+        """p + q*sqrt(d) from Fractions with q != 0 and d known square-free.
+
+        Arithmetic results keep the radicand of their operands, so they skip
+        the checks (and the factoring) of the public constructor.
+        """
+        value = object.__new__(cls)
+        object.__setattr__(value, "p", p)
+        object.__setattr__(value, "q", q)
+        object.__setattr__(value, "d", d)
+        return value
+
     @staticmethod
     def make(p, q, radicand: int) -> Union["QuadraticIrrational", Fraction]:
         """Canonicalize p + q*sqrt(radicand), collapsing rational values."""
@@ -108,7 +121,7 @@ class QuadraticIrrational:
         square, free = squarefree_split(radicand)
         if free == 1:
             return p + q * square
-        return QuadraticIrrational(p, q * square, free)
+        return QuadraticIrrational._known(p, q * square, free)
 
     # -- ring operations (closed over QuadraticIrrational | Fraction) --
 
@@ -125,7 +138,7 @@ class QuadraticIrrational:
 
     @staticmethod
     def _wrap(p: Fraction, q: Fraction, d: int):
-        return QuadraticIrrational(p, q, d) if q != 0 else p
+        return QuadraticIrrational._known(p, q, d) if q != 0 else p
 
     def __add__(self, other):
         parts = self._coerce(other)
@@ -137,7 +150,7 @@ class QuadraticIrrational:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticIrrational(-self.p, -self.q, self.d)
+        return QuadraticIrrational._known(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
         parts = self._coerce(other)
@@ -165,7 +178,7 @@ class QuadraticIrrational:
     def inverse(self) -> "QuadraticIrrational":
         # The field norm p^2 - q^2 d is nonzero because the value is irrational.
         n = self.p * self.p - self.q * self.q * self.d
-        return QuadraticIrrational(self.p / n, -self.q / n, self.d)
+        return QuadraticIrrational._known(self.p / n, -self.q / n, self.d)
 
     def __truediv__(self, other):
         if isinstance(other, QuadraticIrrational):
@@ -173,7 +186,7 @@ class QuadraticIrrational:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return QuadraticIrrational(self.p / other, self.q / other, self.d)
+            return QuadraticIrrational._known(self.p / other, self.q / other, self.d)
         return NotImplemented
 
     def __rtruediv__(self, other):

@@ -29,6 +29,12 @@ UNDETERMINED = "undetermined-by-theory"
 CLASSICAL_FUNCTORS = ("internal", "vincent", "right")
 TEST_FUNCTORS = ("y-internal", "y-right")
 
+# Largest k in "R^k" (its reports list k generators) and n in "orbit:n"
+# (a pair of orbit spaces runs theorem2_dim, whose time grows faster than
+# n^2: about 40 times as long at n = 256 as at n = 64).
+MAX_EUCLIDEAN_DIM = 1000
+MAX_ORBIT_DIM = 64
+
 
 @dataclass(frozen=True)
 class EuclideanSpace:
@@ -85,6 +91,8 @@ def parse_space(text: str) -> Space:
         body = text[2:]
         if not body.isdigit():
             raise ValueError(f"bad Euclidean dimension in {text!r}")
+        if int(body) > MAX_EUCLIDEAN_DIM:
+            raise ValueError(f"dimension in {text!r} exceeds {MAX_EUCLIDEAN_DIM}")
         return EuclideanSpace(int(body))
     if text.startswith("torus:"):
         slope = parse_quadratic(text[len("torus:") :])
@@ -95,6 +103,8 @@ def parse_space(text: str) -> Space:
         body = text[len("orbit:") :].strip()
         if not body.isdigit() or int(body) < 1:
             raise ValueError(f"bad orbit-space index in {text!r}")
+        if int(body) > MAX_ORBIT_DIM:
+            raise ValueError(f"orbit-space index in {text!r} exceeds {MAX_ORBIT_DIM}")
         return OrbitSpace(int(body))
     raise ValueError(
         f"unrecognized space {text!r}; expected R^k, torus:<expr>, or orbit:<n>"

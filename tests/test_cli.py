@@ -1,10 +1,14 @@
 """End-to-end command-line tests driven through main()."""
 
+import contextlib
+import io
 import json
 import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difftan import __version__
 from difftan.cli import (
@@ -12,8 +16,10 @@ from difftan.cli import (
     EXIT_NO_WITNESS,
     EXIT_OK,
     EXIT_UNDETERMINED,
+    MAX_ORBIT_TABLE,
     main,
 )
+from difftan.spaces import MAX_EUCLIDEAN_DIM, MAX_ORBIT_DIM
 
 RECORD_SCHEMA = {
     "type": "object",
@@ -539,6 +545,116 @@ def test_deeply_nested_slope_is_an_input_error(capsys):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.count("\n") == 1 and "nested too deeply" in err
+
+
+# ------------------------------------------------------------- size bounds
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "orbit", "--max", str(MAX_ORBIT_TABLE + 1)], "--max must be"),
+        (["witness", "embed", "--m", str(MAX_ORBIT_DIM + 1), "--n", "1"], "--m and --n"),
+        (["witness", "embed", "--m", "1", "--n", str(MAX_ORBIT_DIM + 1)], "--m and --n"),
+        (
+            ["tangent", "--space", f"R^{MAX_EUCLIDEAN_DIM + 1}", "--functor", "right"],
+            f"exceeds {MAX_EUCLIDEAN_DIM}",
+        ),
+        (
+            [
+                "tangent",
+                "--space",
+                "orbit:1",
+                "--functor",
+                "y-right",
+                "--test",
+                f"orbit:{MAX_ORBIT_DIM + 1}",
+            ],
+            f"exceeds {MAX_ORBIT_DIM}",
+        ),
+        (
+            ["tangent", "--space", f"orbit:{MAX_ORBIT_DIM + 1}", "--functor", "right"],
+            f"exceeds {MAX_ORBIT_DIM}",
+        ),
+    ],
+)
+def test_size_past_its_bound_is_an_input_error(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+# ------------------------------------------------------------ argv fuzzing
+
+_SURDS = (
+    "sqrt(2)", "1+sqrt(2)", "-sqrt(3)", "(1+sqrt(5))/2", "-1+sqrt(2)", "2*sqrt(8)",
+    "3/2", "sqrt(4)", "sqrt(-2)", "sqrt(", "1/0", "(sqrt(2)", "sqrt(2)/0", "",
+    "sqrt(2),-sqrt(5)", "sqrt(2),,3", " , ",
+)
+_SPACES = (
+    "R^0", "R^2", "R^", "R^x", "R^-1", "torus:sqrt(3)", "torus:-1+sqrt(2)",
+    "torus:2", "torus:", "orbit:0", "orbit:3", "orbit:x", "klein",
+)
+_FUNCTORS = ("internal", "right", "vincent", "y-internal", "y-right", "sideways")
+_SMALL_INTS = st.integers(-2, 6).map(str)
+_SLOPE_PAIR = {"--alpha": st.sampled_from(_SURDS), "--beta": st.sampled_from(_SURDS)}
+_WORD = st.one_of(
+    st.sampled_from(
+        ("--space", "--functor", "--test", "--slopes", "--max", "--alpha", "--beta",
+         "--m", "--n", "--json", "--alph", "--sl", "--version", "-h", "--bogus", "--")
+    ),
+    st.sampled_from(_SURDS + _SPACES + _FUNCTORS),
+    _SMALL_INTS,
+)
+# The options of each command, each with the values it is meant to take;
+# any other word may stand in for a value.
+_COMMANDS = {
+    ("tangent",): {
+        "--space": st.sampled_from(_SPACES),
+        "--functor": st.sampled_from(_FUNCTORS),
+        "--test": st.sampled_from(_SPACES),
+    },
+    ("table",): {},
+    ("table", "classical"): {},
+    ("table", "torus"): {"--slopes": st.sampled_from(_SURDS)},
+    ("table", "orbit"): {"--max": _SMALL_INTS},
+    ("witness",): {},
+    ("witness", "mobius"): _SLOPE_PAIR,
+    ("witness", "diffeo"): _SLOPE_PAIR,
+    ("witness", "embed"): {"--m": _SMALL_INTS, "--n": _SMALL_INTS},
+    (): {},
+    ("summon",): {},
+}
+
+
+def _one_in(draw, n: int) -> bool:
+    return draw(st.integers(0, n - 1)) == n - 1
+
+
+@st.composite
+def _argv(draw):
+    """A command path, most of its options, and now and then a stray word."""
+    path = draw(st.sampled_from(list(_COMMANDS)))
+    words = []
+    for option, values in _COMMANDS[path].items():
+        if not _one_in(draw, 10):
+            words += [option, draw(_WORD if _one_in(draw, 5) else values)]
+    if draw(st.booleans()):
+        words.append("--json")
+    if _one_in(draw, 4):
+        words.insert(draw(st.integers(0, len(words))), draw(_WORD))
+    return list(path) + words
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argv())
+def test_any_argv_gets_an_exit_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_NO_WITNESS, EXIT_INPUT, EXIT_UNDETERMINED)
+    assert "Traceback" not in err.getvalue()
 
 
 # ------------------------------------------------------------ shell basics

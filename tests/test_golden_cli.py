@@ -4,13 +4,16 @@ Each case runs main(argv) and compares stdout and the exit code with the
 committed transcript in tests/golden/cli.txt.  The cases cover every
 (construction, space family, test family) cell of `tangent` in text and
 --json form -- the families are R^0, R^k (k >= 1), irrational tori and
-orbit spaces -- plus the three tables and the three witness commands.
+orbit spaces -- plus the three tables, the three witness commands and the
+--help text of every command.
 Tori include slopes in one field and across fields; orbit pairs include
 test index below, equal to and above the space index.  R^0 is a family
 of one space, so it has one instance; every other family has at least
 two.
 
-Regenerate the transcript only when an output change is intended:
+argparse wraps help text to the terminal width, so every case runs with
+COLUMNS=80.  Regenerate the transcript only when an output change is
+intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -18,7 +21,9 @@ Regenerate the transcript only when an output change is intended:
 import contextlib
 import functools
 import io
+import os
 import shlex
+from unittest import mock
 from pathlib import Path
 
 import pytest
@@ -77,12 +82,29 @@ def _cases() -> list[list[str]]:
         ["witness", "embed", "--m", "3", "--n", "1"],
     ):
         cases += [argv, argv + ["--json"]]
+    for path in (
+        [],
+        ["tangent"],
+        ["table"],
+        ["table", "classical"],
+        ["table", "torus"],
+        ["table", "orbit"],
+        ["witness"],
+        ["witness", "mobius"],
+        ["witness", "diffeo"],
+        ["witness", "embed"],
+    ):
+        cases.append(path + ["--help"])
     return cases
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         code = main(argv)
     return code, out.getvalue()
 

@@ -82,6 +82,25 @@ def test_rational_collapse_in_arithmetic():
     assert (1 + r2) * (r2 - 1) == Fraction(1)
 
 
+def test_arithmetic_does_not_factor_the_radicand_again(monkeypatch):
+    from difftan import quad_field
+
+    x = 1 + parse_quadratic("sqrt(999999937)")
+    calls = []
+    original = quad_field.squarefree_split
+    monkeypatch.setattr(
+        quad_field, "squarefree_split", lambda n: calls.append(n) or original(n)
+    )
+    y = mobius_apply(MobiusWitness(1, 1, 0, 1), x)
+    assert calls == []
+    assert y == (1 + x) / x
+
+
+def test_direct_construction_rejects_a_square_factor():
+    with pytest.raises(ValueError, match="square-free"):
+        QuadraticIrrational(0, 1, 12)
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
