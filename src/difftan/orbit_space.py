@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .polynomials import (
@@ -28,6 +29,7 @@ from .polynomials import (
     _monomial_text,
     compose_with,
     parse_polynomial,
+    sum_of_squares,
 )
 from .spaces import (
     COMPUTED,
@@ -124,6 +126,27 @@ def norm_square_poly(m: int) -> MultiPoly:
     return total
 
 
+def radial_poly(psi: UniPoly, m: int) -> MultiPoly:
+    """psi(x1^2 + ... + xm^2), expanded by the multinomial theorem.
+
+    The coefficient of x^(2a) is psi_j * j!/(a1! ... am!) with j = |a|.
+    """
+    terms = {}
+    for j, coeff in enumerate(psi.coeffs):
+        if coeff:
+            # (exponents so far, multinomial coefficient so far, degree left)
+            level = [((), 1, j)]
+            for _ in range(m - 1):
+                level = [
+                    (exps + (2 * a,), ways * comb(left, a), left - a)
+                    for exps, ways, left in level
+                    for a in range(left + 1)
+                ]
+            for exps, ways, left in level:
+                terms[exps + (2 * left,)] = coeff * ways
+    return MultiPoly(m, terms)
+
+
 def standard_embedding(m: int, n: int) -> PolyLift:
     """(x1, ..., xm, 0, ..., 0): R^m -> R^n for m <= n."""
     if not 1 <= m <= n:
@@ -142,15 +165,13 @@ def validate_lift(lift: PolyLift) -> InvariantGerm:
     verified coefficient by coefficient.  Raises InvalidLiftError naming
     an offending monomial otherwise.
     """
-    square = MultiPoly.zero(lift.m)
-    for comp in lift.components:
-        square = square + comp * comp
+    square = sum_of_squares(lift.components)
     axis = square.restrict_axis(0)
     for i, coeff in enumerate(axis.coeffs):
         if coeff != 0 and i % 2 == 1:
             raise InvalidLiftError("x1" if i == 1 else f"x1^{i}")
     psi = UniPoly(tuple(axis.coeff(2 * j) for j in range(axis.degree // 2 + 1)))
-    diff = square - compose_with(psi, norm_square_poly(lift.m))
+    diff = square - radial_poly(psi, lift.m)
     if not diff.is_zero():
         raise InvalidLiftError(_monomial_text(min(diff.terms)))
     return InvariantGerm(psi)

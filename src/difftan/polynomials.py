@@ -3,16 +3,32 @@
 UniPoly is a univariate polynomial in the formal variable t; MultiPoly is
 a polynomial in variables x1..xn.  Both are immutable, use Fraction
 coefficients throughout, and print in a stable canonical form, so golden
-comparisons are exact.  A small parser accepts the text format used for
-polynomial lifts ("x1^2+x2^2" with rational coefficients).
+comparisons are exact.  Coefficients, scalars and evaluation points must be
+ints or other exact rationals; floats are rejected.  A small parser accepts
+the text format used for polynomial lifts ("x1^2+x2^2" with rational
+coefficients).
+
+MultiPoly products run on integers: each operand is brought to integer
+numerators over its own common denominator, exponent tuples are packed
+into single integers, and one Fraction is built per output term.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Sequence
+
+
+def _exact(value) -> Fraction:
+    """value as a Fraction; only ints and other exact rationals are accepted."""
+    if isinstance(value, numbers.Rational):
+        return Fraction(value)
+    raise TypeError(f"expected an int or a rational number, got {type(value).__name__}")
 
 
 def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
@@ -42,7 +58,7 @@ class UniPoly:
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(_exact(c) for c in self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -58,14 +74,20 @@ class UniPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
+        if not isinstance(other, UniPoly):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
+        if not isinstance(other, UniPoly):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly(tuple(self.coeff(i) - other.coeff(i) for i in range(n)))
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
+        if not isinstance(other, UniPoly):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return UniPoly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -75,10 +97,11 @@ class UniPoly:
         return UniPoly(tuple(out))
 
     def scale(self, factor) -> "UniPoly":
-        f = Fraction(factor)
+        f = _exact(factor)
         return UniPoly(tuple(c * f for c in self.coeffs))
 
     def __call__(self, t) -> Fraction:
+        t = _exact(t)
         value = Fraction(0)
         for c in reversed(self.coeffs):
             value = value * t + c
@@ -109,8 +132,57 @@ def _monomial_text(exponents: tuple[int, ...]) -> str:
     return "*".join(factors) if factors else "1"
 
 
+def _numerators(terms) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """Integer numerators of `terms` over their least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
+
+
+def _products(pairs, nvars: int, den: int) -> dict[tuple[int, ...], Fraction]:
+    """Terms of the sum over (left, right) in pairs of left*right, divided by den.
+
+    Each side is a nonempty list of (exponent tuple, int numerator).  Every
+    exponent tuple is packed into one integer in a radix above any exponent
+    of the result, so adding two packed keys multiplies the monomials
+    without a carry.  Cancelled monomials are dropped.
+    """
+    radix = 1 + max(
+        max(max(e) for e, _ in left) + max(max(e) for e, _ in right)
+        for left, right in pairs
+    )
+    weights = [radix**j for j in range(nvars)]
+    out: dict[int, int] = {}
+    get = out.get
+    for left, right in pairs:
+        packed = [(sum(map(operator.mul, e, weights)), n) for e, n in right]
+        for e, n1 in left:
+            k1 = sum(map(operator.mul, e, weights))
+            for k2, n2 in packed:
+                key = k1 + k2
+                out[key] = get(key, 0) + n1 * n2
+    result = {}
+    for key, n in out.items():
+        if n:
+            exps = []
+            for _ in range(nvars):
+                key, e = divmod(key, radix)
+                exps.append(e)
+            result[tuple(exps)] = Fraction(n, den)
+    return result
+
+
+def _add_terms(out: dict, terms) -> None:
+    """Add (exponent tuple, Fraction) pairs into out, dropping cancelled monomials."""
+    for exps, coeff in terms:
+        total = out.get(exps, 0) + coeff
+        if total:
+            out[exps] = total
+        else:
+            out.pop(exps, None)
+
+
 class MultiPoly:
-    """Polynomial in x1..xn, stored as exponent-tuple -> coefficient."""
+    """Polynomial in x1..xn, stored as exponent-tuple -> nonzero Fraction."""
 
     __slots__ = ("nvars", "_terms")
 
@@ -120,14 +192,23 @@ class MultiPoly:
         self.nvars = nvars
         clean = {}
         for exps, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(operator.index(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
             clean[exps] = coeff
         self._terms = clean
+
+    @classmethod
+    def _known(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Build a result whose terms already map exponent tuples of length
+        nvars to nonzero Fractions, skipping the public checks."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly._terms = terms
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -135,7 +216,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -143,7 +224,7 @@ class MultiPoly:
         if not 0 <= index < nvars:
             raise ValueError("variable index out of range")
         exps = tuple(1 if j == index else 0 for j in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls._known(nvars, {exps: Fraction(1)})
 
     @property
     def terms(self):
@@ -174,39 +255,53 @@ class MultiPoly:
         return hash((self.nvars, frozenset(self._terms.items())))
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self.nvars, out)
+        _add_terms(out, other._terms.items())
+        return MultiPoly._known(self.nvars, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._known(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly(
-                self.nvars, {e: c * other for e, c in self._terms.items()}
+        if isinstance(other, MultiPoly):
+            self._check(other)
+            if not self._terms or not other._terms:
+                return MultiPoly._known(self.nvars, {})
+            left, lden = _numerators(self._terms)
+            right, rden = (left, lden) if other is self else _numerators(other._terms)
+            products = _products([(left, right)], self.nvars, lden * rden)
+            return MultiPoly._known(self.nvars, products)
+        if isinstance(other, numbers.Rational):
+            factor = Fraction(other)
+            if not factor:
+                return MultiPoly._known(self.nvars, {})
+            return MultiPoly._known(
+                self.nvars, {e: c * factor for e, c in self._terms.items()}
             )
-        self._check(other)
-        out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "MultiPoly":
+        """Repeated squaring: about 2*log2(power) products."""
         if power < 0:
             raise ValueError("negative power")
         result = MultiPoly.constant(self.nvars, 1)
-        for _ in range(power):
-            result = result * self
+        square = self
+        while power:
+            if power & 1:
+                result = result * square
+            power >>= 1
+            if power:
+                square = square * square
         return result
 
     def restrict_axis(self, index: int = 0) -> UniPoly:
@@ -229,7 +324,7 @@ class MultiPoly:
         return tuple(out)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        values = [Fraction(v) for v in point]
+        values = [_exact(v) for v in point]
         if len(values) != self.nvars:
             raise ValueError("point dimension mismatch")
         total = Fraction(0)
@@ -264,6 +359,17 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self!s})"
+
+
+def sum_of_squares(polys: Sequence[MultiPoly]) -> MultiPoly:
+    """p1^2 + ... + pk^2 for a nonempty sequence, summed in one integer pass."""
+    nvars = polys[0].nvars
+    if any(p.nvars != nvars for p in polys):
+        raise ValueError("variable counts differ")
+    scaled = [_numerators(p._terms) for p in polys if p._terms]
+    den = lcm(*(d * d for _, d in scaled))
+    pairs = [([(e, n * (den // (d * d))) for e, n in nums], nums) for nums, d in scaled]
+    return MultiPoly._known(nvars, _products(pairs, nvars, den) if pairs else {})
 
 
 def compose_with(psi: UniPoly, inner: MultiPoly) -> MultiPoly:
@@ -319,6 +425,8 @@ def parse_polynomial(text: str, nvars: int) -> MultiPoly:
     x1..x<nvars>, joined by "+" and "-".
     """
     tokens = _poly_tokens(text)
+    if nvars < 1:
+        raise ValueError("nvars must be >= 1")
     pos = 0
 
     def peek():
@@ -330,29 +438,27 @@ def parse_polynomial(text: str, nvars: int) -> MultiPoly:
         pos += 1
         return tok
 
-    def parse_factor() -> MultiPoly:
+    def parse_factor(exps: list[int]) -> None:
         kind, value, at = peek()
         if kind != "var":
             raise PolyParseError("expected a variable", at)
         advance()
         if not 1 <= value <= nvars:
             raise PolyParseError(f"variable x{value} out of range (nvars={nvars})", at)
-        base = MultiPoly.variable(nvars, value - 1)
+        power = 1
         if peek()[0] == "^":
             advance()
-            kind, exp, at = peek()
+            kind, power, at = peek()
             if kind != "num":
                 raise PolyParseError("expected an exponent", at)
             advance()
-            return base**exp
-        return base
+        exps[value - 1] += power
 
-    def parse_term() -> MultiPoly:
+    def parse_term() -> tuple[tuple[int, ...], Fraction]:
         coeff = Fraction(1)
-        saw_coeff = False
+        exps = [0] * nvars
         if peek()[0] == "num":
             coeff = Fraction(advance()[1])
-            saw_coeff = True
             if peek()[0] == "/":
                 advance()
                 kind, den, at = peek()
@@ -365,25 +471,25 @@ def parse_polynomial(text: str, nvars: int) -> MultiPoly:
             if peek()[0] == "*":
                 advance()
             else:
-                return MultiPoly.constant(nvars, coeff)
-        result = parse_factor()
+                return tuple(exps), coeff
+        parse_factor(exps)
         while peek()[0] == "*":
             advance()
-            result = result * parse_factor()
-        return result * coeff if saw_coeff else result
+            parse_factor(exps)
+        return tuple(exps), coeff
 
-    total = MultiPoly.zero(nvars)
-    negate = False
-    if peek()[0] == "-":
-        advance()
-        negate = True
-    term = parse_term()
-    total = total + (-term if negate else term)
-    while peek()[0] in ("+", "-"):
+    # Every term is one monomial; all of them are summed into one dict.
+    terms = []
+    op = advance()[0] if peek()[0] == "-" else "+"
+    while True:
+        exps, coeff = parse_term()
+        terms.append((exps, -coeff if op == "-" else coeff))
+        if peek()[0] not in ("+", "-"):
+            break
         op = advance()[0]
-        term = parse_term()
-        total = total + (-term if op == "-" else term)
     kind, value, at = peek()
     if kind != "end":
         raise PolyParseError(f"unexpected {value!r}", at)
-    return total
+    total: dict = {}
+    _add_terms(total, terms)
+    return MultiPoly._known(nvars, total)

@@ -19,6 +19,7 @@ from difftan import (
     PolyLift,
     UniPoly,
     compose_lifts,
+    compose_with,
     derivation_value,
     norm_square_poly,
     pushforward,
@@ -29,7 +30,7 @@ from difftan import (
     theorem2_dim,
     validate_lift,
 )
-from difftan.orbit_space import EMBED_GENERATOR
+from difftan.orbit_space import EMBED_GENERATOR, radial_poly
 
 
 def _lift(m, text):
@@ -80,6 +81,42 @@ def test_invalid_lift_error_carries_monomial():
         pytest.fail("expected InvalidLiftError")
 
 
+def _perturbed_lift(h, g, exps, bump):
+    """R^6 -> R^2 radial lift (h(|x|^2), g(|x|^2)) with bump * x^exps added to
+    the first component; the bumps below leave the x1-axis unchanged."""
+    s = norm_square_poly(6)
+    first = compose_with(UniPoly(h), s) + MultiPoly(6, {exps: bump})
+    return PolyLift(6, 2, (first, compose_with(UniPoly(g), s)))
+
+
+@pytest.mark.parametrize(
+    "h, g, exps, bump, monomial",
+    [
+        (
+            (0, 2, 0, 0, Fraction(-1, 3)),
+            (0, 0, Fraction(3, 2)),
+            (1, 1, 0, 0, 0, 0),
+            1,
+            "x1*x2*x6^2",
+        ),
+        (
+            (0, Fraction(-3, 2), 0, 0, 2),
+            (0, 0, -1),
+            (0, 0, 2, 2, 0, 0),
+            Fraction(-2, 5),
+            "x3^2*x4^2*x6^2",
+        ),
+    ],
+)
+def test_perturbed_degree8_lift_messages(h, g, exps, bump, monomial):
+    # Messages captured from the Horner-built |x|^2 profile check.
+    with pytest.raises(InvalidLiftError) as info:
+        validate_lift(_perturbed_lift(h, g, exps, bump))
+    assert str(info.value) == (
+        f"not an invariant lift: offending monomial {monomial} in |F|^2"
+    )
+
+
 def test_lift_shape_invariants():
     x1 = MultiPoly.variable(2, 0)
     with pytest.raises(ValueError, match=">= 1"):
@@ -103,6 +140,33 @@ def test_lift_text_round_trip():
 
 def test_norm_square_poly():
     assert str(norm_square_poly(3)) == "x1^2+x2^2+x3^2"
+
+
+_PROFILES = [
+    (1,),
+    (0, 1),
+    (0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (Fraction(1, 2), 0, Fraction(-3, 4), 0, 0, 2),
+    tuple(Fraction((-1) ** j * (j + 1), j % 4 + 1) for j in range(9)),
+]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("coeffs", _PROFILES)
+def test_radial_poly_matches_horner(m, coeffs):
+    psi = UniPoly(coeffs)
+    assert radial_poly(psi, m) == compose_with(psi, norm_square_poly(m))
+
+
+def test_radial_poly_matches_horner_on_random_profiles():
+    rng = random.Random(8)
+    for _ in range(20):
+        m = rng.randint(1, 6)
+        psi = UniPoly(
+            tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(9))
+        )
+        assert radial_poly(psi, m) == compose_with(psi, norm_square_poly(m))
+    assert radial_poly(UniPoly(), 3).is_zero()
 
 
 def test_standard_embedding_needs_room():

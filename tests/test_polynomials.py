@@ -1,9 +1,10 @@
 """Tests for exact univariate/multivariate polynomial arithmetic."""
 
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from difftan import (
     MultiPoly,
@@ -12,6 +13,7 @@ from difftan import (
     compose_with,
     parse_polynomial,
 )
+from difftan.polynomials import sum_of_squares
 
 
 # ---------------------------------------------------------------- UniPoly
@@ -234,3 +236,180 @@ def test_multipoly_evaluation_is_ring_hom(p, q, a, b):
 def test_restrict_axis_matches_evaluation(p, a):
     assert p.restrict_axis(0)(a) == p.evaluate((a, 0))
     assert p.restrict_axis(1)(a) == p.evaluate((0, a))
+
+
+# ------------------------------------------------- integer product kernel
+
+
+def _schoolbook(p, q):
+    """Reference product: one Fraction multiply and add per term pair."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _assert_canonical(poly):
+    """Every stored coefficient is a nonzero Fraction, and the result equals
+    (and hashes like) the public constructor's polynomial on the same dict."""
+    assert all(type(c) is Fraction and c != 0 for c in poly.terms.values())
+    rebuilt = MultiPoly(poly.nvars, dict(poly.terms))
+    assert poly == rebuilt
+    assert hash(poly) == hash(rebuilt)
+
+
+# Mixed denominators, so the operands' common denominators differ.
+_mixed_fracs = st.builds(
+    Fraction,
+    st.integers(-6, 6),
+    st.sampled_from((1, 2, 3, 4, 5, 6, 7, 12)),
+)
+_exponents3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+_multipolys3 = st.dictionaries(_exponents3, _mixed_fracs, max_size=6).map(
+    lambda terms: MultiPoly(3, terms)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multipolys3, _multipolys3)
+def test_product_matches_schoolbook(p, q):
+    for product, reference in (
+        (p * q, _schoolbook(p, q)),
+        (p * p, _schoolbook(p, p)),
+        # (p + q)(p - q): the cross terms cancel inside one product.
+        ((p + q) * (p - q), _schoolbook(p + q, p - q)),
+    ):
+        assert dict(product.terms) == reference
+        _assert_canonical(product)
+    assert ((p + q) * (p - q)) == p * p - q * q
+    assert (p * (q - q)).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_multipolys3, min_size=1, max_size=4))
+def test_sum_of_squares_matches_products(polys):
+    expected = MultiPoly.zero(3)
+    for p in polys:
+        expected = expected + MultiPoly(3, _schoolbook(p, p))
+    total = sum_of_squares(polys)
+    assert total == expected
+    _assert_canonical(total)
+
+
+@given(_multipolys3, _mixed_fracs)
+def test_scalar_product_and_sums_stay_canonical(p, factor):
+    for result in (p * factor, factor * p, p + p, p - p, -p, p**3):
+        _assert_canonical(result)
+    assert dict((p * factor).terms) == {
+        e: c * factor for e, c in p.terms.items() if c * factor != 0
+    }
+
+
+@pytest.mark.parametrize("power", range(8))
+def test_power_by_squaring_matches_repeated_products(power):
+    base = _poly("1/2*x1-2/3*x2+3")
+    expected = MultiPoly.constant(2, 1)
+    for _ in range(power):
+        expected = MultiPoly(2, _schoolbook(expected, base))
+    assert base**power == expected
+
+
+def test_huge_exponents_take_logarithmic_time():
+    started = time.perf_counter()
+    poly = parse_polynomial("x1^1000000000*x2^3", 2)
+    power = MultiPoly.variable(2, 0) ** 1_000_000_000
+    assert time.perf_counter() - started < 1.0
+    assert poly.terms == {(1_000_000_000, 3): Fraction(1)}
+    assert power.terms == {(1_000_000_000, 0): Fraction(1)}
+    assert str(poly) == "x1^1000000000*x2^3"
+
+
+def _cancelling_text():
+    """100 terms: 25 pairs that cancel exactly, 25 x1*x2 that alternate in
+    sign and 25 x1-powers that pile up on four monomials."""
+    parts = []
+    for k in range(1, 26):
+        parts.append(f"{k}/{k + 1}*x1^{k % 5}*x2^{k % 3}")
+        parts.append(f"-{k}/{k + 1}*x2^{k % 3}*x1^{k % 5}")
+        parts.append(f"1/{k}*x1^{k % 4}")
+        parts.append("x1*x2" if k % 2 else "-x1*x2")
+    return "+".join(parts).replace("+-", "-")
+
+
+def test_parse_many_cancelling_terms():
+    poly = parse_polynomial(_cancelling_text(), 2)
+    # Both expectations were captured from the term-by-term MultiPoly sum.
+    assert poly.terms == {
+        (1, 0): Fraction(534113, 348075),
+        (2, 0): Fraction(3254, 3465),
+        (3, 0): Fraction(122798, 168245),
+        (0, 0): Fraction(49, 80),
+        (1, 1): Fraction(1),
+    }
+    assert str(poly) == "122798/168245*x1^3+3254/3465*x1^2+x1*x2+534113/348075*x1+49/80"
+    _assert_canonical(poly)
+
+
+# ------------------------------------------------------ exactness guards
+
+
+_P = MultiPoly.variable(2, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiPoly(2, {(1, 0): 0.1}),
+        lambda: MultiPoly(2, {(1.0, 0): 1}),
+        lambda: MultiPoly.constant(2, 0.5),
+        lambda: UniPoly((0.1,)),
+        lambda: UniPoly((1, 2)).scale(0.5),
+        lambda: UniPoly((1, 2))(0.5),
+        lambda: _P.evaluate([0.5, 1]),
+        lambda: _P * 0.5,
+        lambda: 0.5 * _P,
+        lambda: _P + 1,
+        lambda: 1 + _P,
+        lambda: _P - 1,
+        lambda: _P + 0.5,
+        lambda: UniPoly((1,)) + 1,
+        lambda: UniPoly((1,)) * 0.5,
+    ],
+    ids=[
+        "float-coefficient",
+        "float-exponent",
+        "float-constant",
+        "unipoly-float-coefficient",
+        "unipoly-float-scale",
+        "unipoly-float-point",
+        "float-point",
+        "times-float",
+        "float-times",
+        "plus-int",
+        "int-plus",
+        "minus-int",
+        "plus-float",
+        "unipoly-plus-int",
+        "unipoly-times-float",
+    ],
+)
+def test_floats_and_foreign_operands_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_unsupported_operands_return_not_implemented():
+    assert _P.__add__(1) is NotImplemented
+    assert _P.__sub__(1) is NotImplemented
+    assert _P.__mul__(0.5) is NotImplemented
+    assert _P.__mul__("x1") is NotImplemented
+
+
+def test_exact_scalars_are_still_accepted():
+    assert _P * Fraction(1, 2) == Fraction(1, 2) * _P == _poly("1/2*x1")
+    assert _P * True == _P
+    assert (_P * 0).is_zero()
+    assert UniPoly((1, 2)).scale(Fraction(1, 3)).coeffs == (Fraction(1, 3), Fraction(2, 3))
+    assert _poly("x1^2+x2").evaluate([Fraction(1, 2), 3]) == Fraction(13, 4)
