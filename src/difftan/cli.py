@@ -10,11 +10,15 @@ Exit codes: 0 determined result, 1 no witness exists, 2 input error,
 3 undetermined cell.  With --json every command prints a JSON document
 (an object for single queries, an array of records for tables); output is
 deterministic, so identical invocations produce identical bytes.
+
+The parser is built once per process, so calling main() repeatedly costs
+each call only its own query.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -306,7 +310,23 @@ _COMMANDS = (
 )
 
 
+# The options whose value may start with '-'.
+_SURD_OPTIONS = tuple(
+    flag
+    for *_, options, _ in _COMMANDS
+    for flag, keywords in options
+    if keywords.get("surd")
+)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of _COMMANDS, built on the first call only.
+
+    Parsing leaves no state in the tree, and help text is wrapped to the
+    terminal width when it is formatted, so one tree serves every call.
+    Callers must not add to the tree.
+    """
     parser = argparse.ArgumentParser(
         prog="difftan",
         description=(
@@ -344,18 +364,12 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     Words that start with '--', and -h, stay options: `--alpha --json` is
     still an error.
     """
-    surd_options = [
-        flag
-        for *_, options, _ in _COMMANDS
-        for flag, keywords in options
-        if keywords.get("surd")
-    ]
     out: list[str] = []
     for word in argv:
         if (
             out
             and len(out[-1]) > 2
-            and any(name.startswith(out[-1]) for name in surd_options)
+            and any(name.startswith(out[-1]) for name in _SURD_OPTIONS)
             and word.startswith("-")
             and not word.startswith("--")
             and word != "-h"

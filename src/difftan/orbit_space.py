@@ -26,6 +26,7 @@ from typing import Optional
 from .polynomials import (
     MultiPoly,
     UniPoly,
+    _exact,
     _monomial_text,
     compose_with,
     parse_polynomial,
@@ -70,7 +71,7 @@ class Derivation:
     coeff: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", _exact(self.coeff))
 
 
 class InvalidLiftError(ValueError):

@@ -12,6 +12,7 @@ questions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -64,6 +65,15 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return square, free
 
 
+# The same check as polynomials._exact, kept here so that the torus
+# commands import no polynomial code.
+def _exact(value) -> Fraction:
+    """value as a Fraction; only ints and other exact rationals are accepted."""
+    if isinstance(value, numbers.Rational):
+        return Fraction(value)
+    raise TypeError(f"expected an int or a rational number, got {type(value).__name__}")
+
+
 def _floor_sqrt_multiple(c: int, d: int) -> int:
     """floor(c * sqrt(d)) for integers c (any sign) and d >= 0."""
     s = math.isqrt(c * c * d)
@@ -92,8 +102,8 @@ class QuadraticIrrational:
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "p", _exact(self.p))
+        object.__setattr__(self, "q", _exact(self.q))
         if self.q == 0:
             raise ValueError("q must be nonzero; rational values are plain Fractions")
         if not isinstance(self.d, int) or self.d < 2 or squarefree_split(self.d) != (1, self.d):
@@ -115,7 +125,7 @@ class QuadraticIrrational:
     @staticmethod
     def make(p, q, radicand: int) -> Union["QuadraticIrrational", Fraction]:
         """Canonicalize p + q*sqrt(radicand), collapsing rational values."""
-        p, q = Fraction(p), Fraction(q)
+        p, q = _exact(p), _exact(q)
         if q == 0:
             return p
         square, free = squarefree_split(radicand)
@@ -207,23 +217,33 @@ class QuadraticIrrational:
             return -1
         return 1 if self.p * self.p > self.q * self.q * self.d else -1
 
-    def _cmp(self, other) -> int:
-        diff = self - other
+    def _cmp(self, other) -> Optional[int]:
+        """Sign of self - other, or None for an operand that is not exact."""
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
+            return None
         if isinstance(diff, Fraction):
             return (diff > 0) - (diff < 0)
         return diff._sign()
 
+    # Unsupported operands (floats among them) return NotImplemented, so
+    # Python raises its own "'<' not supported" TypeError.
+
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        sign = self._cmp(other)
+        return NotImplemented if sign is None else sign < 0
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        sign = self._cmp(other)
+        return NotImplemented if sign is None else sign <= 0
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        sign = self._cmp(other)
+        return NotImplemented if sign is None else sign > 0
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        sign = self._cmp(other)
+        return NotImplemented if sign is None else sign >= 0
 
     def floor(self) -> int:
         b = lcm(self.p.denominator, self.q.denominator)

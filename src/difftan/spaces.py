@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .quad_field import QuadraticIrrational, format_surd, parse_quadratic
 
@@ -81,7 +81,10 @@ class OrbitSpace:
         return f"orbit:{self.n}"
 
 
-Space = Union[EuclideanSpace, IrrationalTorus, OrbitSpace]
+# A `|` union, not typing.Union: typing caches every Union[...] for the life
+# of the process, which would keep these classes, and the modules they
+# reference, alive after the package is imported anew.
+Space = EuclideanSpace | IrrationalTorus | OrbitSpace
 
 
 def parse_space(text: str) -> Space:

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import shlex
 import time
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -17,9 +20,11 @@ from difftan.cli import (
     EXIT_OK,
     EXIT_UNDETERMINED,
     MAX_ORBIT_TABLE,
+    _build_parser,
     main,
 )
 from difftan.spaces import MAX_EUCLIDEAN_DIM, MAX_ORBIT_DIM
+from test_golden_cli import _golden_entries
 
 RECORD_SCHEMA = {
     "type": "object",
@@ -680,6 +685,35 @@ def test_unknown_functor_is_input_error(capsys):
     )
     assert code == EXIT_INPUT
     assert "invalid choice" in err
+
+
+@pytest.fixture
+def fresh_parser():
+    _build_parser.cache_clear()
+    yield
+    _build_parser.cache_clear()
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys, fresh_parser):
+    # Built narrow, then used for failed parses, a query and help at width 80.
+    with mock.patch.dict(os.environ, {"COLUMNS": "20"}):
+        _build_parser()
+    assert run(capsys, ["witness", "mobius", "--alpha"])[0] == EXIT_INPUT
+    bad_functor = ["tangent", "--space", "R^1", "--functor", "sideways"]
+    assert run(capsys, bad_functor)[0] == EXIT_INPUT
+    query = ["tangent", "--space", "torus:sqrt(2)", "--functor", "y-internal",
+             "--test", "torus:1+sqrt(2)"]
+    for argv, golden_argv in (
+        (query, query),
+        (["-h"], ["--help"]),
+        (["table", "torus", "-h"], ["table", "torus", "--help"]),
+        (["witness", "mobius", "-h"], ["witness", "mobius", "--help"]),
+    ):
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        expected = _golden_entries()[f"$ difftan {shlex.join(golden_argv)}"]
+        assert f"exit {code}\n{out}" == expected.split("\n", 1)[1]
 
 
 @pytest.mark.parametrize(

@@ -189,6 +189,13 @@ def test_derivation_value_reads_first_coefficient():
     assert derivation_value(Derivation(Fraction(3, 2)), germ) == Fraction(15, 2)
 
 
+def test_derivation_rejects_a_float_coefficient():
+    with pytest.raises(TypeError, match="float"):
+        Derivation(0.1)
+    assert Derivation(2).coeff == 2
+    assert Derivation(Fraction(1, 10)).coeff == Fraction(1, 10)
+
+
 def test_pushforward_scales_by_profile_slope():
     emb = standard_embedding(2, 3)
     assert pushforward(emb, Derivation(Fraction(2, 3))).coeff == Fraction(2, 3)

@@ -101,6 +101,41 @@ def test_direct_construction_rejects_a_square_factor():
         QuadraticIrrational(0, 1, 12)
 
 
+@pytest.mark.parametrize(
+    "p, q",
+    [(0.5, 1), (0, 1.0), (Fraction(1, 2), 0.25)],
+    ids=["float-p", "float-q", "float-both"],
+)
+def test_direct_construction_rejects_floats(p, q):
+    with pytest.raises(TypeError, match="float"):
+        QuadraticIrrational(p, q, 2)
+    with pytest.raises(TypeError, match="float"):
+        QuadraticIrrational.make(p, q, 2)
+
+
+@pytest.mark.parametrize(
+    "compare, symbol",
+    [
+        (lambda x: x < 1.5, "<"),
+        (lambda x: x <= 1.5, "<="),
+        (lambda x: x > 1.5, ">"),
+        (lambda x: x >= 1.5, ">="),
+        (lambda x: 1.5 < x, "<"),
+        (lambda x: "1" >= x, ">="),
+    ],
+    ids=["lt", "le", "gt", "ge", "float-lt", "str-ge"],
+)
+def test_comparison_with_an_inexact_operand_is_not_supported(compare, symbol):
+    with pytest.raises(TypeError, match=f"'{symbol}' not supported"):
+        compare(parse_quadratic("sqrt(2)"))
+
+
+def test_comparisons_with_exact_operands():
+    root2 = parse_quadratic("sqrt(2)")
+    assert 1 < root2 < Fraction(3, 2) and root2 > 1 and Fraction(3, 2) >= root2
+    assert root2 <= root2 and root2 < 1 + root2
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
