@@ -9,7 +9,10 @@ Subcommands:
 Exit codes: 0 determined result, 1 no witness exists, 2 input error,
 3 undetermined cell.  With --json every command prints a JSON document
 (an object for single queries, an array of records for tables); output is
-deterministic, so identical invocations produce identical bytes.
+deterministic, so identical invocations produce identical bytes.  One
+emitter, _emit, writes every single answer: each handler builds one
+ordered field dict, printed as `key: value` lines or, with --json, after
+the JSON header.  Tables print their own grids.
 
 The parser is built once per process, so calling main() repeatedly costs
 each call only its own query.
@@ -37,6 +40,7 @@ from .quad_field import (
 from .spaces import (
     CLASSICAL_FUNCTORS,
     MAX_ORBIT_DIM,
+    TEST_FUNCTORS,
     FunctorKind,
     IrrationalTorus,
     parse_space,
@@ -53,18 +57,11 @@ EXIT_UNDETERMINED = 3
 MAX_ORBIT_TABLE = 32
 
 
-def _witness_json(witness):
-    if witness is None:
-        return None
+def _witness_json(witness) -> dict:
+    """The JSON form of a witness; json.dumps calls it for any witness object."""
     if isinstance(witness, MobiusWitness):
-        return {
-            "kind": "mobius",
-            "a": witness.a,
-            "b": witness.b,
-            "c": witness.c,
-            "d": witness.d,
-            "det": witness.det,
-        }
+        keys = ("a", "b", "c", "d", "det")
+        return {"kind": "mobius", **{key: getattr(witness, key) for key in keys}}
     if isinstance(witness, LiftWitness):
         return {
             "kind": "lift",
@@ -77,19 +74,6 @@ def _witness_json(witness):
     raise TypeError(f"unknown witness type {type(witness).__name__}")
 
 
-def _witness_text(witness) -> str:
-    if witness is None:
-        return "-"
-    if isinstance(witness, MobiusWitness):
-        return str(witness)
-    if isinstance(witness, LiftWitness):
-        return (
-            f"lift {witness.lift.to_text()}, psi = {witness.psi}, "
-            f"pushforward = {witness.pushforward}"
-        )
-    raise TypeError(f"unknown witness type {type(witness).__name__}")
-
-
 def _json_header(raw_input: dict, command: Optional[str] = None) -> dict:
     header = {"tool": "difftan", "version": __version__}
     if command:
@@ -98,40 +82,43 @@ def _json_header(raw_input: dict, command: Optional[str] = None) -> dict:
     return header
 
 
-def _record_of(report, raw_input: dict) -> dict:
+def _report_fields(report) -> dict:
     return {
-        **_json_header(raw_input),
         "space": report.space.label,
         "functor": report.functor.name,
         "test": report.functor.test.label if report.functor.test else None,
         "dimension": report.dimension if report.determined else "undetermined",
         "generators": list(report.generators),
-        "witness": _witness_json(report.witness),
+        "witness": report.witness,
         "status": report.status,
         "justification": report.justification,
     }
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
+    print(json.dumps(payload, indent=2, ensure_ascii=False, default=_witness_json))
+
+
+def _text(value, none: str) -> str:
+    if isinstance(value, list):
+        value = ", ".join(value) or None
+    return none if value is None else str(value)
+
+
+def _emit(args, raw_input: dict, fields: dict, command=None, none="-") -> None:
+    """Write one answer as JSON, or as `key: value` lines (`none` for no value)."""
+    if args.json:
+        _emit_json({**_json_header(raw_input, command), **fields})
+    else:
+        print("\n".join([
+            f"{key.replace('_', ' ')}: {_text(value, none)}" for key, value in fields.items()
+        ]))
 
 
 def _emit_table_json(grid, raw_input: dict) -> int:
-    _emit_json([_record_of(rep, raw_input) for row in grid for rep in row])
+    header = _json_header(raw_input)
+    _emit_json([{**header, **_report_fields(rep)} for row in grid for rep in row])
     return EXIT_OK
-
-
-def _print_report(report) -> None:
-    print(f"space: {report.space.label}")
-    print(f"functor: {report.functor.name}")
-    print(f"test: {report.functor.test.label if report.functor.test else '-'}")
-    dim = report.dimension if report.determined else "undetermined"
-    print(f"dimension: {dim}")
-    gens = ", ".join(report.generators) if report.generators else "-"
-    print(f"generators: {gens}")
-    print(f"witness: {_witness_text(report.witness)}")
-    print(f"status: {report.status}")
-    print(f"justification: {report.justification}")
 
 
 def _cmd_tangent(args) -> int:
@@ -146,15 +133,8 @@ def _cmd_tangent(args) -> int:
         test = parse_space(args.test)
         functor = FunctorKind(args.functor, test)
     report = tangent(space, functor)
-    if args.json:
-        _emit_json(
-            _record_of(
-                report,
-                {"space": args.space, "functor": args.functor, "test": args.test},
-            )
-        )
-    else:
-        _print_report(report)
+    raw_input = {"space": args.space, "functor": args.functor, "test": args.test}
+    _emit(args, raw_input, _report_fields(report))
     return EXIT_OK if report.determined else EXIT_UNDETERMINED
 
 
@@ -237,19 +217,9 @@ def _cmd_witness_slopes(args) -> int:
         witness = diffeomorphic(IrrationalTorus(alpha), IrrationalTorus(beta))
     else:
         witness = mobius_witness(alpha, beta)
-    if args.json:
-        raw_input = {"alpha": args.alpha, "beta": args.beta}
-        _emit_json(
-            {
-                **_json_header(raw_input, f"witness-{args.witness_kind}"),
-                **fields,
-                "witness": _witness_json(witness),
-            }
-        )
-    else:
-        for key, value in fields.items():
-            print(f"{key.replace('_', ' ')}: {value}")
-        print(f"witness: {witness if witness else 'none'}")
+    fields["witness"] = witness
+    raw_input = {"alpha": args.alpha, "beta": args.beta}
+    _emit(args, raw_input, fields, f"witness-{args.witness_kind}", none="none")
     return EXIT_OK if witness else EXIT_NO_WITNESS
 
 
@@ -257,31 +227,25 @@ def _cmd_witness_embed(args) -> int:
     if not all(1 <= size <= MAX_ORBIT_DIM for size in (args.m, args.n)):
         raise ValueError(f"--m and --n must be >= 1 and <= {MAX_ORBIT_DIM}")
     witness = theorem2_dim(args.m, args.n).witness
-    reason = None
     if witness is None:
-        reason = (
-            "the rank obstruction forces every pushforward to vanish when m > n"
-        )
-    if args.json:
-        payload = {
-            **_json_header({"m": args.m, "n": args.n}, "witness-embed"),
-            "witness": _witness_json(witness),
+        fields = {
+            "witness": None,
+            "reason": "the rank obstruction forces every pushforward to vanish when m > n",
         }
-        if reason:
-            payload["reason"] = reason
-        _emit_json(payload)
+    elif args.json:
+        fields = {"witness": witness}
     else:
-        if witness:
-            print(f"lift: {witness.lift.to_text()}")
-            print(f"psi: {witness.psi}")
-            print(f"pushforward: {witness.pushforward}")
-        else:
-            print("witness: none")
-            print(f"reason: {reason}")
+        # The text form spells the lift out, one line per part.
+        fields = {
+            "lift": witness.lift.to_text(),
+            "psi": witness.psi,
+            "pushforward": witness.pushforward,
+        }
+    _emit(args, {"m": args.m, "n": args.n}, fields, "witness-embed", none="none")
     return EXIT_OK if witness else EXIT_NO_WITNESS
 
 
-_FUNCTOR_CHOICES = ("internal", "right", "vincent", "y-internal", "y-right")
+_FUNCTOR_CHOICES = (*sorted(CLASSICAL_FUNCTORS), *TEST_FUNCTORS)
 _SLOPE = {"required": True, "surd": True}
 _SLOPES = (("--alpha", _SLOPE), ("--beta", _SLOPE))
 _SIZE = {"required": True, "type": int}
@@ -391,11 +355,17 @@ def main(argv=None) -> int:
         if code in (None, 0):
             return EXIT_OK
         return EXIT_INPUT
+    # Exact answers may have integers of any length: lift Python's limit on
+    # int <-> str conversion for the query and restore it afterwards.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def entry() -> None:

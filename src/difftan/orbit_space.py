@@ -230,6 +230,9 @@ class LiftWitness:
     psi: UniPoly
     pushforward: Fraction
 
+    def __str__(self) -> str:
+        return f"lift {self.lift.to_text()}, psi = {self.psi}, pushforward = {self.pushforward}"
+
 
 _EMBED_JUSTIFICATION = (
     "the standard embedding is an invariant lift with radial profile t, so "

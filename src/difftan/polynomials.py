@@ -23,6 +23,8 @@ from math import lcm
 from types import MappingProxyType
 from typing import Sequence
 
+from .quad_field import _read_int
+
 
 def _exact(value) -> Fraction:
     """value as a Fraction; only ints and other exact rationals are accepted."""
@@ -395,19 +397,19 @@ def _poly_tokens(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("num", int(text[i:j]), i))
+            tokens.append(("num", _read_int(text[i:j], i, PolyParseError), i))
             i = j
         elif ch == "x":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise PolyParseError("variable needs an index, e.g. x1", i)
-            tokens.append(("var", int(text[i + 1 : j]), i))
+            tokens.append(("var", _read_int(text[i + 1 : j], i + 1, PolyParseError), i))
             i = j
         elif ch in "+-*/^":
             tokens.append((ch, ch, i))

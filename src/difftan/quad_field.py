@@ -300,6 +300,19 @@ def format_surd(value) -> str:
 # form: "(1+sqrt(5))/2" parses, "1+sqrt(5)/2" is a syntax error.
 
 
+def _read_int(digits: str, position: int, error: type) -> int:
+    """int() of a run of decimal digits, its failure raised as the parser's error.
+
+    The run is all str.isdecimal(), which int() reads, so int() fails only
+    past Python's limit on digits converted to an int.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        message = f"integer of {len(digits)} digits is too long to read"
+        raise error(message, position) from None
+
+
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
@@ -307,11 +320,11 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _read_int(text[i:j], i, SurdParseError), i))
             i = j
         elif text.startswith("sqrt", i):
             tokens.append(("sqrt", "sqrt", i))

@@ -92,7 +92,7 @@ def parse_space(text: str) -> Space:
     text = text.strip()
     if text.startswith("R^"):
         body = text[2:]
-        if not body.isdigit():
+        if not body.isdecimal():
             raise ValueError(f"bad Euclidean dimension in {text!r}")
         if int(body) > MAX_EUCLIDEAN_DIM:
             raise ValueError(f"dimension in {text!r} exceeds {MAX_EUCLIDEAN_DIM}")
@@ -104,7 +104,7 @@ def parse_space(text: str) -> Space:
         return IrrationalTorus(slope)
     if text.startswith("orbit:"):
         body = text[len("orbit:") :].strip()
-        if not body.isdigit() or int(body) < 1:
+        if not body.isdecimal() or int(body) < 1:
             raise ValueError(f"bad orbit-space index in {text!r}")
         if int(body) > MAX_ORBIT_DIM:
             raise ValueError(f"orbit-space index in {text!r} exceeds {MAX_ORBIT_DIM}")

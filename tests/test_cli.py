@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shlex
+import sys
 import time
 from unittest import mock
 
@@ -25,6 +26,29 @@ from difftan.cli import (
 )
 from difftan.spaces import MAX_EUCLIDEAN_DIM, MAX_ORBIT_DIM
 from test_golden_cli import _golden_entries
+
+WITNESS = {
+    "anyOf": [
+        {"type": "null"},
+        {
+            "type": "object",
+            "required": ["kind", "a", "b", "c", "d", "det"],
+            "properties": {"kind": {"const": "mobius"}},
+        },
+        {
+            "type": "object",
+            "required": [
+                "kind",
+                "source_dim",
+                "target_dim",
+                "components",
+                "psi",
+                "pushforward",
+            ],
+            "properties": {"kind": {"const": "lift"}},
+        },
+    ]
+}
 
 RECORD_SCHEMA = {
     "type": "object",
@@ -55,33 +79,36 @@ RECORD_SCHEMA = {
             "anyOf": [{"type": "integer", "minimum": 0}, {"const": "undetermined"}]
         },
         "generators": {"type": "array", "items": {"type": "string"}},
-        "witness": {
-            "anyOf": [
-                {"type": "null"},
-                {
-                    "type": "object",
-                    "required": ["kind", "a", "b", "c", "d", "det"],
-                    "properties": {"kind": {"const": "mobius"}},
-                },
-                {
-                    "type": "object",
-                    "required": [
-                        "kind",
-                        "source_dim",
-                        "target_dim",
-                        "components",
-                        "psi",
-                        "pushforward",
-                    ],
-                    "properties": {"kind": {"const": "lift"}},
-                },
-            ]
-        },
+        "witness": WITNESS,
         "status": {
             "enum": ["computed", "registered-by-theorem", "undetermined-by-theory"]
         },
         "justification": {"type": "string"},
     },
+}
+
+
+# The document of a witness command: mobius and diffeo carry both slopes
+# (diffeo also their expansions), embed a reason when no witness exists.
+WITNESS_SCHEMA = {
+    "type": "object",
+    "required": ["tool", "version", "command", "input", "witness"],
+    "additionalProperties": False,
+    "properties": {
+        "tool": {"const": "difftan"},
+        "version": {"type": "string"},
+        "command": {"enum": ["witness-mobius", "witness-diffeo", "witness-embed"]},
+        "input": {"type": "object"},
+        "alpha": {"type": "string"},
+        "beta": {"type": "string"},
+        "alpha_cf": {"type": "string"},
+        "beta_cf": {"type": "string"},
+        "witness": WITNESS,
+        "reason": {"type": "string"},
+    },
+    "if": {"properties": {"command": {"const": "witness-embed"}}},
+    "then": {"properties": {"alpha": False, "beta": False}},
+    "else": {"required": ["alpha", "beta"]},
 }
 
 
@@ -552,6 +579,41 @@ def test_deeply_nested_slope_is_an_input_error(capsys):
     assert err.count("\n") == 1 and "nested too deeply" in err
 
 
+# Beta is a complete quotient of alpha, whose period has 12352 terms, so the
+# unimodular witness has entries past Python's default 4300-digit limit.
+_BIG_WITNESS = [
+    "witness", "diffeo", "--alpha", "sqrt(1000000007)",
+    "--beta", "(30756+sqrt(1000000007))/3629",
+]
+
+
+def test_witness_past_the_int_digit_limit_is_an_answer(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, _BIG_WITNESS)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.count("\n") == 5 and out.startswith("alpha: sqrt(1000000007)\n")
+    code, out, err = run(capsys, _BIG_WITNESS + ["--json"])
+    assert (code, err) == (EXIT_OK, "")
+    assert sys.get_int_max_str_digits() == limit
+    try:
+        sys.set_int_max_str_digits(0)
+        witness = json.loads(out)["witness"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert abs(witness["a"] * witness["d"] - witness["b"] * witness["c"]) == 1
+    assert max(abs(witness[key]) for key in "abcd") >= 10**4300
+
+
+def test_slope_past_the_int_digit_limit_is_an_answer(capsys):
+    limit = sys.get_int_max_str_digits()
+    big = "7" * 3000
+    space = f"torus:{big}*({big}*sqrt(2))"
+    code, out, err = run(capsys, ["tangent", "--space", space, "--functor", "internal"])
+    assert (code, err) == (EXIT_OK, "")
+    assert "dimension: 1\n" in out
+    assert sys.get_int_max_str_digits() == limit
+
+
 # ------------------------------------------------------------- size bounds
 
 
@@ -656,10 +718,21 @@ def _argv(draw):
 @given(_argv())
 def test_any_argv_gets_an_exit_code_and_no_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
+    limit = sys.get_int_max_str_digits()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_NO_WITNESS, EXIT_INPUT, EXIT_UNDETERMINED)
     assert "Traceback" not in err.getvalue()
+    assert sys.get_int_max_str_digits() == limit
+    if code == EXIT_INPUT:
+        assert out.getvalue() == ""
+    elif "--json" in argv and not {"-h", "--version"} & set(argv):
+        document = json.loads(out.getvalue())
+        if argv[0] == "witness":
+            jsonschema.validate(document, WITNESS_SCHEMA)
+        else:
+            for record in document if argv[0] == "table" else [document]:
+                jsonschema.validate(record, RECORD_SCHEMA)
 
 
 # ------------------------------------------------------------ shell basics

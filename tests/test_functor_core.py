@@ -50,6 +50,7 @@ def y_rt(test):
         ("R^3", R(3)),
         ("orbit:2", OrbitSpace(2)),
         ("torus:sqrt(2)", T_SQRT2),
+        ("R^\u0663", R(3)),  # an Arabic-Indic three, which int() reads
     ],
 )
 def test_parse_space(text, expected):
@@ -63,6 +64,8 @@ def test_parse_space(text, expected):
         ("orbit:0", "orbit-space index"),
         ("torus:(3)/2", "torus slope must be irrational"),
         ("plane", "unrecognized space"),
+        ("R^\u00b2", "bad Euclidean dimension"),
+        ("orbit:\u00b2", "bad orbit-space index"),
     ],
 )
 def test_parse_space_errors(text, message):

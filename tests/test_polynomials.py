@@ -206,6 +206,11 @@ def test_parse_and_format(text, expected):
         ("x1 @ x2", "unexpected character", 3),
         ("3*", "expected a variable", 2),
         ("x1 5", "unexpected", 3),
+        # str.isdigit() accepts a superscript two, which int() cannot read.
+        ("x\u00b2", "variable needs an index", 0),
+        ("x1^\u00b2", "unexpected character", 3),
+        pytest.param("1" * 5000, "too long to read", 0, id="5000-digit number"),
+        pytest.param("x" + "1" * 5000, "too long to read", 1, id="5000-digit index"),
     ],
 )
 def test_parse_errors_carry_positions(text, message, position):

@@ -180,6 +180,20 @@ def test_parse_error_reports_position():
     assert "position 10" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("sqrt(\u00b2)", 5),  # str.isdigit() accepts it, int() does not
+        # past Python's default limit on digits converted to an int
+        pytest.param("1" * 5000, 0, id="5000-digit literal"),
+    ],
+)
+def test_digits_int_cannot_read_are_positioned_errors(text, position):
+    with pytest.raises(SurdParseError) as excinfo:
+        parse_quadratic(text)
+    assert excinfo.value.position == position
+
+
 def test_negative_radicand_rejected():
     with pytest.raises(SurdParseError, match="negative radicand"):
         parse_quadratic("sqrt(-2)")
