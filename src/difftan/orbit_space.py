@@ -26,12 +26,12 @@ from typing import Optional
 from .polynomials import (
     MultiPoly,
     UniPoly,
-    _exact,
     _monomial_text,
     compose_with,
     parse_polynomial,
     sum_of_squares,
 )
+from .quad_field import _exact
 from .spaces import (
     COMPUTED,
     REGISTERED,

@@ -23,14 +23,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Sequence
 
-from .quad_field import _read_int
-
-
-def _exact(value) -> Fraction:
-    """value as a Fraction; only ints and other exact rationals are accepted."""
-    if isinstance(value, numbers.Rational):
-        return Fraction(value)
-    raise TypeError(f"expected an int or a rational number, got {type(value).__name__}")
+from .quad_field import _exact, _read_int
 
 
 def _format_terms(parts: list[tuple[Fraction, str]]) -> str:

@@ -65,8 +65,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return square, free
 
 
-# The same check as polynomials._exact, kept here so that the torus
-# commands import no polynomial code.
 def _exact(value) -> Fraction:
     """value as a Fraction; only ints and other exact rationals are accepted."""
     if isinstance(value, numbers.Rational):

@@ -17,7 +17,6 @@ justification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .quad_field import QuadraticIrrational, format_surd, parse_quadratic
@@ -87,6 +86,17 @@ class OrbitSpace:
 Space = EuclideanSpace | IrrationalTorus | OrbitSpace
 
 
+def _capped_int(digits: str, cap: int) -> int:
+    """The decimal digit run's value if it is at most cap, else an int above cap.
+
+    Leading zeros (of any script) are skipped and a run longer than cap's is
+    never converted, so no run reaches Python's int conversion limit.
+    """
+    start = next((i for i, c in enumerate(digits) if int(c)), len(digits))
+    significant = digits[start:]
+    return cap + 1 if len(significant) > len(str(cap)) else int(significant or "0")
+
+
 def parse_space(text: str) -> Space:
     """Parse "R^k", "torus:<expr>", or "orbit:<n>"."""
     text = text.strip()
@@ -94,21 +104,20 @@ def parse_space(text: str) -> Space:
         body = text[2:]
         if not body.isdecimal():
             raise ValueError(f"bad Euclidean dimension in {text!r}")
-        if int(body) > MAX_EUCLIDEAN_DIM:
+        dim = _capped_int(body, MAX_EUCLIDEAN_DIM)
+        if dim > MAX_EUCLIDEAN_DIM:
             raise ValueError(f"dimension in {text!r} exceeds {MAX_EUCLIDEAN_DIM}")
-        return EuclideanSpace(int(body))
+        return EuclideanSpace(dim)
     if text.startswith("torus:"):
-        slope = parse_quadratic(text[len("torus:") :])
-        if isinstance(slope, Fraction):
-            raise ValueError("torus slope must be irrational")
-        return IrrationalTorus(slope)
+        return IrrationalTorus(parse_quadratic(text[len("torus:") :]))
     if text.startswith("orbit:"):
         body = text[len("orbit:") :].strip()
-        if not body.isdecimal() or int(body) < 1:
+        n = _capped_int(body, MAX_ORBIT_DIM) if body.isdecimal() else 0
+        if n < 1:
             raise ValueError(f"bad orbit-space index in {text!r}")
-        if int(body) > MAX_ORBIT_DIM:
+        if n > MAX_ORBIT_DIM:
             raise ValueError(f"orbit-space index in {text!r} exceeds {MAX_ORBIT_DIM}")
-        return OrbitSpace(int(body))
+        return OrbitSpace(n)
     raise ValueError(
         f"unrecognized space {text!r}; expected R^k, torus:<expr>, or orbit:<n>"
     )

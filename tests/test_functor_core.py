@@ -51,6 +51,9 @@ def y_rt(test):
         ("orbit:2", OrbitSpace(2)),
         ("torus:sqrt(2)", T_SQRT2),
         ("R^\u0663", R(3)),  # an Arabic-Indic three, which int() reads
+        # Leading zeros past Python's 4300-digit int conversion limit.
+        pytest.param("R^" + "0" * 5000 + "3", R(3), id="R^0*5000+3"),
+        pytest.param("R^" + "\u0660" * 5000 + "3", R(3), id="R^arabic-0*5000+3"),
     ],
 )
 def test_parse_space(text, expected):
@@ -66,6 +69,8 @@ def test_parse_space(text, expected):
         ("plane", "unrecognized space"),
         ("R^\u00b2", "bad Euclidean dimension"),
         ("orbit:\u00b2", "bad orbit-space index"),
+        pytest.param("R^" + "1" * 5000, "exceeds 1000", id="R^1*5000"),
+        pytest.param("orbit:" + "1" * 5000, "exceeds 64", id="orbit:1*5000"),
     ],
 )
 def test_parse_space_errors(text, message):
