@@ -29,7 +29,7 @@ from .polynomials import (
     _monomial_text,
     compose_with,
     parse_polynomial,
-    sum_of_squares,
+    square_numerators,
 )
 from .quad_field import _exact
 from .spaces import (
@@ -48,6 +48,11 @@ EMBED_GENERATOR = "embed_*(D_m)"
 GERM_DEGREE_BOUND = 8
 
 
+def _check_profile_degree(degree: int) -> None:
+    if degree > GERM_DEGREE_BOUND:
+        raise ValueError(f"profile degree {degree} exceeds bound {GERM_DEGREE_BOUND}")
+
+
 @dataclass(frozen=True)
 class InvariantGerm:
     """Invariant function germ Psi(|x|^2) with polynomial profile Psi."""
@@ -55,10 +60,7 @@ class InvariantGerm:
     psi: UniPoly
 
     def __post_init__(self):
-        if self.psi.degree > GERM_DEGREE_BOUND:
-            raise ValueError(
-                f"profile degree {self.psi.degree} exceeds bound {GERM_DEGREE_BOUND}"
-            )
+        _check_profile_degree(self.psi.degree)
 
     def __str__(self) -> str:
         return str(self.psi)
@@ -158,24 +160,88 @@ def standard_embedding(m: int, n: int) -> PolyLift:
     return PolyLift(m, n, comps)
 
 
+def _first_missing(terms, j: int, m: int, below) -> Optional[tuple[int, ...]]:
+    """The smallest x^(2a) with |a| = j that is not a key of terms.
+
+    Walks the exponent tuples of degree 2j in increasing order, so it
+    takes at most len(terms) + 1 steps; returns None once the walk reaches
+    `below` (when not None) or runs out.
+    """
+    exps = [0] * m
+    exps[-1] = 2 * j
+    while True:
+        key = tuple(exps)
+        if below is not None and key >= below:
+            return None
+        if key not in terms:
+            return key
+        # Successor: raise the entry just before the last nonzero one and
+        # move what that one held, less the raise, to the final slot.
+        last = max((k for k, e in enumerate(exps) if e), default=0)
+        if last == 0:
+            return None
+        rest = exps[last]
+        exps[last - 1] += 2
+        exps[last:] = [0] * (m - last)
+        exps[-1] = rest - 2
+
+
 def validate_lift(lift: PolyLift) -> InvariantGerm:
     """Check |F(x)|^2 = Psi(|x|^2) exactly and return the profile.
 
-    The candidate profile is read off the x1-axis restriction of |F|^2
-    (whose odd coefficients must vanish); the full identity is then
-    verified coefficient by coefficient.  Raises InvalidLiftError naming
-    an offending monomial otherwise.
+    |F|^2 is summed once as integer numerators N over one denominator.
+    The candidate profile is read off its x1-axis terms, whose odd powers
+    must vanish: N_j multiplies x1^(2j).  Psi(|x|^2) is never expanded.
+    Instead every term x^(2a) with |a| = j must equal N_j * j!/(a1!...am!),
+    and the terms must number the sum of C(j+m-1, m-1) over the j with
+    N_j != 0, so none of Psi(|x|^2) is missing.  Otherwise raises
+    InvalidLiftError naming the smallest monomial where the two sides
+    differ.
     """
-    square = sum_of_squares(lift.components)
-    axis = square.restrict_axis(0)
-    for i, coeff in enumerate(axis.coeffs):
-        if coeff != 0 and i % 2 == 1:
-            raise InvalidLiftError("x1" if i == 1 else f"x1^{i}")
-    psi = UniPoly(tuple(axis.coeff(2 * j) for j in range(axis.degree // 2 + 1)))
-    diff = square - radial_poly(psi, lift.m)
-    if not diff.is_zero():
-        raise InvalidLiftError(_monomial_text(min(diff.terms)))
-    return InvariantGerm(psi)
+    m = lift.m
+    terms, den = square_numerators(lift.components)
+    zeros = (0,) * (m - 1)
+    axis = {e[0]: n for e, n in terms.items() if e[1:] == zeros}
+    odd = min((i for i in axis if i % 2), default=None)
+    if odd is not None:
+        raise InvalidLiftError("x1" if odd == 1 else f"x1^{odd}")
+    profile = {i // 2: n for i, n in axis.items()}
+    # Where Psi(|x|^2) has more terms than |F|^2 a monomial is missing for
+    # sure; finding it first keeps the multinomials below small.
+    required, offender = 0, None
+    for j in profile:
+        count = comb(j + m - 1, m - 1)
+        required += count
+        if count > len(terms):
+            offender = _first_missing(terms, j, m, offender) or offender
+    matched = 0
+    for exps, n in terms.items():
+        if offender is not None and exps >= offender:
+            continue
+        # An odd total degree meets an odd exponent in the loop below.
+        scale = profile.get(sum(exps) // 2)
+        if scale is not None:
+            ways, left = 1, 0
+            for e in exps:
+                if e & 1:
+                    break
+                if e:
+                    left += e >> 1
+                    ways *= comb(left, e >> 1)
+            else:
+                if n == scale * ways:
+                    matched += 1
+                    continue
+        offender = exps
+    if offender is None and matched == required:
+        top = max(profile, default=-1)
+        _check_profile_degree(top)
+        return InvariantGerm(
+            UniPoly(tuple(Fraction(profile.get(j, 0), den) for j in range(top + 1)))
+        )
+    for j in profile:
+        offender = _first_missing(terms, j, m, offender) or offender
+    raise InvalidLiftError(_monomial_text(offender))
 
 
 def derivation_value(derivation: Derivation, germ: InvariantGerm) -> Fraction:

@@ -133,6 +133,22 @@ def _numerators(terms) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
 
 
+def _pack(terms, weights) -> list[tuple[int, int]]:
+    """(exponent tuple, n) pairs with each tuple packed into one integer."""
+    return [(sum(map(operator.mul, e, weights)), n) for e, n in terms]
+
+
+def _unpack(packed: dict[int, int], radix: int, nvars: int):
+    """The nonzero (exponent tuple, n) pairs of a dict keyed by packed tuples."""
+    for key, n in packed.items():
+        if n:
+            exps = []
+            for _ in range(nvars):
+                key, e = divmod(key, radix)
+                exps.append(e)
+            yield tuple(exps), n
+
+
 def _products(pairs, nvars: int, den: int) -> dict[tuple[int, ...], Fraction]:
     """Terms of the sum over (left, right) in pairs of left*right, divided by den.
 
@@ -149,21 +165,12 @@ def _products(pairs, nvars: int, den: int) -> dict[tuple[int, ...], Fraction]:
     out: dict[int, int] = {}
     get = out.get
     for left, right in pairs:
-        packed = [(sum(map(operator.mul, e, weights)), n) for e, n in right]
-        for e, n1 in left:
-            k1 = sum(map(operator.mul, e, weights))
+        packed = _pack(right, weights)
+        for k1, n1 in _pack(left, weights):
             for k2, n2 in packed:
                 key = k1 + k2
                 out[key] = get(key, 0) + n1 * n2
-    result = {}
-    for key, n in out.items():
-        if n:
-            exps = []
-            for _ in range(nvars):
-                key, e = divmod(key, radix)
-                exps.append(e)
-            result[tuple(exps)] = Fraction(n, den)
-    return result
+    return {e: Fraction(n, den) for e, n in _unpack(out, radix, nvars)}
 
 
 def _add_terms(out: dict, terms) -> None:
@@ -356,15 +363,46 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self!s})"
 
 
-def sum_of_squares(polys: Sequence[MultiPoly]) -> MultiPoly:
-    """p1^2 + ... + pk^2 for a nonempty sequence, summed in one integer pass."""
+def square_numerators(
+    polys: Sequence[MultiPoly],
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """p1^2 + ... + pk^2 for a nonempty sequence as (integer numerators, den).
+
+    The first item maps each exponent tuple to the nonzero integer that,
+    divided by den, is its coefficient.  A product of a term with itself
+    is added once and the product of two different terms of one component
+    twice, so each component costs half its ordered term pairs.
+    """
     nvars = polys[0].nvars
     if any(p.nvars != nvars for p in polys):
         raise ValueError("variable counts differ")
     scaled = [_numerators(p._terms) for p in polys if p._terms]
+    if not scaled:
+        return {}, 1
     den = lcm(*(d * d for _, d in scaled))
-    pairs = [([(e, n * (den // (d * d))) for e, n in nums], nums) for nums, d in scaled]
-    return MultiPoly._known(nvars, _products(pairs, nvars, den) if pairs else {})
+    radix = 1 + 2 * max(max(e) for nums, _ in scaled for e, _ in nums)
+    weights = [radix**j for j in range(nvars)]
+    out: dict[int, int] = {}
+    get = out.get
+    for nums, d in scaled:
+        scale = den // (d * d)
+        packed = _pack(nums, weights)
+        for i, (k1, n1) in enumerate(packed):
+            key = 2 * k1
+            out[key] = get(key, 0) + n1 * n1 * scale
+            twice = 2 * n1 * scale
+            for k2, n2 in packed[i + 1 :]:
+                key = k1 + k2
+                out[key] = get(key, 0) + twice * n2
+    return dict(_unpack(out, radix, nvars)), den
+
+
+def sum_of_squares(polys: Sequence[MultiPoly]) -> MultiPoly:
+    """p1^2 + ... + pk^2 for a nonempty sequence, summed in one integer pass."""
+    terms, den = square_numerators(polys)
+    return MultiPoly._known(
+        polys[0].nvars, {e: Fraction(n, den) for e, n in terms.items()}
+    )
 
 
 def compose_with(psi: UniPoly, inner: MultiPoly) -> MultiPoly:

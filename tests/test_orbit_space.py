@@ -1,10 +1,12 @@
 """Tests for orbit-space lifts, derivations, and the rank obstruction."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from difftan import (
     GERM_DEGREE_BOUND,
@@ -115,6 +117,114 @@ def test_perturbed_degree8_lift_messages(h, g, exps, bump, monomial):
     assert str(info.value) == (
         f"not an invariant lift: offending monomial {monomial} in |F|^2"
     )
+
+
+def _rejection_message(lift):
+    with pytest.raises(InvalidLiftError) as info:
+        validate_lift(lift)
+    return str(info.value)
+
+
+def test_one_term_lift_is_rejected_without_expanding_the_profile():
+    # |F|^2 = x1^60 gives the profile t^30, whose Psi(|x|^2) has C(35, 5)
+    # terms in six variables; none of them may be built.
+    start = time.perf_counter()
+    message = _rejection_message(_lift(6, "(x1^30)"))
+    assert time.perf_counter() - start < 1
+    assert message == "not an invariant lift: offending monomial x6^60 in |F|^2"
+
+
+def test_huge_axis_power_is_checked_before_any_dense_profile():
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        validate_lift(_lift(1, "(x1^1000000000)"))
+    assert str(info.value) == f"profile degree 1000000000 exceeds bound {GERM_DEGREE_BOUND}"
+    message = _rejection_message(_lift(2, "(x1^1000000000)"))
+    assert message == "not an invariant lift: offending monomial x2^2000000000 in |F|^2"
+    # x2^2000000 is missing, so the multinomial C(10^6, 5*10^5) of the
+    # larger monomial x1^1000000*x2^1000000 is never needed.
+    message = _rejection_message(_lift(2, "(x1^1000000; x1^500000*x2^500000)"))
+    assert message == "not an invariant lift: offending monomial x2^2000000 in |F|^2"
+    assert time.perf_counter() - start < 1
+
+
+def _reference_validate(lift):
+    """validate_lift by public operations: expand Psi(|x|^2) by Horner's
+    rule and name the smallest monomial of the difference."""
+    m = lift.m
+    square = MultiPoly.zero(m)
+    for comp in lift.components:
+        square = square + comp * comp
+    axis = square.restrict_axis(0)
+    for i, coeff in enumerate(axis.coeffs):
+        if coeff != 0 and i % 2 == 1:
+            raise InvalidLiftError("x1" if i == 1 else f"x1^{i}")
+    psi = UniPoly(tuple(axis.coeff(2 * j) for j in range(axis.degree // 2 + 1)))
+    diff = square - compose_with(psi, norm_square_poly(m))
+    if not diff.is_zero():
+        raise InvalidLiftError(str(MultiPoly(m, {min(diff.terms): 1})))
+    return InvariantGerm(psi)
+
+
+def _outcome(check, lift):
+    try:
+        return check(lift).psi
+    except ValueError as err:
+        return type(err), str(err)
+
+
+_nonzero = st.builds(
+    Fraction, st.integers(1, 4) | st.integers(-4, -1), st.sampled_from((1, 2, 3))
+)
+
+
+@st.composite
+def _lifts(draw):
+    """A valid random lift (composed ones included) or one of four
+    perturbations of it: an odd axis power, a cross term b*x1*x2, a
+    dropped term, or a scaled coefficient."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, m - 1))
+    lift = random_valid_lift(m, n, draw(st.integers(2, 8)), draw(st.integers(0, 2**16)))
+    comps = list(lift.components)
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(("valid", "odd", "cross", "drop", "scale")))
+    if kind == "odd":
+        power = draw(st.sampled_from((1, 3)))
+        comps[i] += MultiPoly(m, {(power,) + (0,) * (m - 1): draw(_nonzero)})
+    elif kind == "cross":
+        comps[i] += MultiPoly(m, {(1, 1) + (0,) * (m - 2): draw(_nonzero)})
+    elif kind != "valid" and not comps[i].is_zero():
+        terms = dict(comps[i].terms)
+        exps = draw(st.sampled_from(sorted(terms)))
+        if kind == "drop":
+            del terms[exps]
+        else:
+            terms[exps] *= draw(st.sampled_from((2, 3, -1, Fraction(1, 2))))
+        comps[i] = MultiPoly(m, terms)
+    return PolyLift(m, n, tuple(comps))
+
+
+@pytest.mark.parametrize(
+    "m, text",
+    [
+        (2, "(x1; x2; x1^2)"),  # every term of |F|^2 fits, but x1^2*x2^2 and x2^4 are missing
+        (3, "(x1; x2; x3; x1*x2)"),
+        (2, "(x1; x2; 1/2*x1^2+1/2*x2^2)"),
+        (3, "(x1^2+x2^2; x3^2; x1*x2)"),
+        (2, "(x1^3; x2)"),
+        (1, "(x1^5+x1^2)"),
+    ],
+)
+def test_validate_lift_agrees_with_the_expanded_profile_on_fixed_lifts(m, text):
+    lift = _lift(m, text)
+    assert _outcome(validate_lift, lift) == _outcome(_reference_validate, lift)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lifts())
+def test_validate_lift_agrees_with_the_expanded_profile(lift):
+    assert _outcome(validate_lift, lift) == _outcome(_reference_validate, lift)
 
 
 def test_lift_shape_invariants():

@@ -13,7 +13,7 @@ from difftan import (
     compose_with,
     parse_polynomial,
 )
-from difftan.polynomials import sum_of_squares
+from difftan.polynomials import square_numerators, sum_of_squares
 
 
 # ---------------------------------------------------------------- UniPoly
@@ -301,6 +301,44 @@ def test_sum_of_squares_matches_products(polys):
     total = sum_of_squares(polys)
     assert total == expected
     _assert_canonical(total)
+
+
+def _schoolbook_squares(polys):
+    """Reference p1^2 + ... + pk^2: one Fraction multiply and add per ordered
+    term pair of each component."""
+    out = {}
+    for p in polys:
+        for e, c in _schoolbook(p, p).items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _square_fractions(polys):
+    terms, den = square_numerators(polys)
+    assert all(type(n) is int and n != 0 for n in terms.values())
+    return {e: Fraction(n, den) for e, n in terms.items()}
+
+
+@pytest.mark.parametrize(
+    "nvars, texts",
+    [
+        (2, ("x1+x2", "x1-x2")),  # the x1*x2 terms cancel across components
+        (2, ("1/2*x1-2/3*x2", "3/4*x1*x2+5/6*x2^2", "1/7*x2^3")),
+        (3, ("7/3*x1*x2^2*x3", "0", "-x3")),  # one-term and zero components
+        (1, ("x1+1/2*x1^3", "-2/5*x1^2")),
+        (1, ("0",)),
+        (2, ("x1^4*x2-x1*x2^4",)),
+    ],
+)
+def test_square_numerators_matches_schoolbook(nvars, texts):
+    polys = [parse_polynomial(text, nvars) for text in texts]
+    assert _square_fractions(polys) == _schoolbook_squares(polys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_multipolys3, min_size=1, max_size=4))
+def test_square_numerators_matches_schoolbook_on_random_polys(polys):
+    assert _square_fractions(polys) == _schoolbook_squares(polys)
 
 
 @given(_multipolys3, _mixed_fracs)
